@@ -53,15 +53,17 @@ def sort_censored(z, delta) -> SortedCensoredSample:
     equal times.
     """
     z = np.asarray(z, dtype=float).ravel()
-    delta = np.asarray(delta).ravel().astype(np.int64)
+    delta = np.asarray(delta).ravel()
     if z.size == 0:
         raise ValueError("sample must be nonempty")
     if z.size != delta.size:
         raise ValueError(f"z and delta lengths differ: {z.size} vs {delta.size}")
     if not np.all(np.isfinite(z)) or np.any(z <= 0):
         raise ValueError("all observations must be finite and > 0")
+    # checked before the integer cast, which would truncate e.g. 0.5 to 0
     if not np.all((delta == 0) | (delta == 1)):
         raise ValueError("censoring indicators must be 0 or 1")
+    delta = delta.astype(np.int64)
     order = np.lexsort((1 - delta, z))
     z_sorted = z[order]
     delta_sorted = delta[order]

@@ -76,7 +76,8 @@ class EstimateReport:
 
 def _check_k(k: int, n: int, lo: int = 1, hi: int | None = None) -> None:
     hi = n - 1 if hi is None else hi
-    if not (isinstance(k, (int, np.integer)) and lo <= k <= hi):
+    # bool is an int subclass, but True is a flag, not a threshold count
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and lo <= k <= hi):
         raise ValueError(f"k must be an integer in [{lo}, {hi}], got {k!r}")
 
 
@@ -265,22 +266,85 @@ def estimate_report(
     )
 
 
+def _descending_log_spacings(s: SortedCensoredSample) -> np.ndarray:
+    # lam[j-1] = log(Z(n-j+1)/Z(n-j)), j = 1..n-1: the j-th log spacing from the top
+    zr = s.z[::-1]
+    return np.log(zr[:-1] / zr[1:])
+
+
+def _ratio_or_nan(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.full(num.shape, np.nan), where=den > 0)
+
+
+# Path kernels: one array pass per call over thresholds ks already checked
+# to lie in [min_valid_k, n-1].  Every value at k is read from full-length
+# prefix sums, so it does not depend on which other thresholds are asked for.
+
+
+def _hill_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
+    # the top k log excesses telescope: sum_i log(Z(n-i+1)/Z(n-k)) = sum_{j<=k} j*lam_j
+    j = np.arange(1, s.n)
+    return np.cumsum(j * _descending_log_spacings(s))[ks - 1] / ks
+
+
+def _efg_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
+    return _ratio_or_nan(_hill_path(s, ks), s.top_delta_prefix[ks - 1] / ks)
+
+
+def _ww1_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
+    surv = _km_survival(s)[::-1]  # surv[i] is the survival at Z(n-i)
+    return _ratio_or_nan(np.cumsum(surv[:-1] * _descending_log_spacings(s))[ks - 1], surv[ks])
+
+
+def _ww2_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
+    # each log excess over the threshold telescopes into spacings; swapping
+    # the two sums weights lam_j by the running sum of the first j terms
+    surv = _km_survival(s)[::-1]
+    i = np.arange(1, s.n)
+    running = np.cumsum(surv[:-1] * s.delta[::-1][:-1] / i)
+    return _ratio_or_nan(np.cumsum(_descending_log_spacings(s) * running)[ks - 1], surv[ks])
+
+
+def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
+    # not separable in k: one O(k) evaluation per k, on contiguous slices and
+    # with the arithmetic of new_weighted, so each value equals it bit for bit
+    zr = np.ascontiguousarray(s.z[::-1])
+    top = s.top_delta_prefix.astype(float)
+    i = np.arange(1.0, s.n)
+    out = np.empty(ks.shape)
+    for j, k in enumerate(ks.tolist()):
+        x = i[: k - 1] / k
+        out[j] = np.sum(x / (top[: k - 1] + x) * np.log(zr[1:k] / zr[k]))
+    return out
+
+
+_PATHS = {
+    "hill": _hill_path,
+    "efg": _efg_path,
+    "ww1": _ww1_path,
+    "ww2": _ww2_path,
+    "new": _new_path,
+}
+
+
 def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     """Evaluate one estimator over many thresholds; NaN where undefined.
 
     Thresholds outside the estimator's valid range and thresholds where the
     estimate does not exist (e.g. ``efg`` with no uncensored top points)
     yield NaN rather than raising.
+
+    One call costs O(n) for ``hill``/``efg``/``ww1``/``ww2``, which are read
+    off prefix sums of the descending log spacings (agreeing with the
+    pointwise functions to rounding, about 1e-14 relative), and O(k) per
+    threshold for ``new``, O(n**2) over the full path, whose values equal
+    :func:`new_weighted` exactly.  Each value depends only on its own k,
+    not on the rest of ``ks``.
     """
-    fn = _DISPATCH[_checked_id(estimator_id)]
-    lo = _MIN_K[estimator_id]
-    n = s.n
+    path = _PATHS[_checked_id(estimator_id)]
     ks = np.asarray(ks, dtype=np.int64)
     out = np.full(ks.shape, np.nan)
-    for j, k in enumerate(ks):
-        if lo <= k <= n - 1:
-            try:
-                out[j] = fn(s, int(k))
-            except UndefinedEstimateError:
-                pass
+    valid = (ks >= _MIN_K[estimator_id]) & (ks <= s.n - 1)
+    if valid.any():
+        out[valid] = path(s, ks[valid])
     return out

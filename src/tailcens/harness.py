@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censored import generate_censored, sort_censored
+from .censored import SortedCensoredSample, generate_censored, sort_censored
 from .distributions import HeavyTailModel, format_model
 from .estimators import ESTIMATOR_IDS, new_weighted, sweep
 from .io import fmt
@@ -85,14 +85,26 @@ class McResult:
     undefined_count: np.ndarray
 
 
-def _replicate_values(cfg: McConfig, r: int) -> np.ndarray:
-    rng = stream(cfg.seed, r)
-    if cfg.complete_data:
-        z = cfg.model_x.sample(cfg.n, rng)
-        d = np.ones(cfg.n, dtype=np.int64)
+def _draw_sample(
+    model_x: HeavyTailModel,
+    model_y: HeavyTailModel,
+    n: int,
+    complete_data: bool,
+    seed: int,
+    r: int,
+) -> SortedCensoredSample:
+    """Replicate r's sample from stream (seed, r): all lifetimes observed, or censored."""
+    rng = stream(seed, r)
+    if complete_data:
+        z = model_x.sample(n, rng)
+        d = np.ones(n, dtype=np.int64)
     else:
-        z, d = generate_censored(cfg.model_x, cfg.model_y, cfg.n, rng)
-    s = sort_censored(z, d)
+        z, d = generate_censored(model_x, model_y, n, rng)
+    return sort_censored(z, d)
+
+
+def _replicate_values(cfg: McConfig, r: int) -> np.ndarray:
+    s = _draw_sample(cfg.model_x, cfg.model_y, cfg.n, cfg.complete_data, cfg.seed, r)
     return np.stack([sweep(s, est, cfg.k_grid) for est in cfg.estimators])
 
 
@@ -131,13 +143,7 @@ def run_variance_check(
     gamma1 = model_x.true_evi
 
     def one(r: int) -> float:
-        rng = stream(seed, r)
-        if complete_data:
-            z = model_x.sample(n, rng)
-            d = np.ones(n, dtype=np.int64)
-        else:
-            z, d = generate_censored(model_x, model_y, n, rng)
-        return new_weighted(sort_censored(z, d), k)
+        return new_weighted(_draw_sample(model_x, model_y, n, complete_data, seed, r), k)
 
     values = np.asarray(replicate_map(one, reps, workers))
     scaled = np.sqrt(k) * (values - gamma1)

@@ -75,8 +75,7 @@ class TailProcessCurve:
 def delta_curve(s: SortedCensoredSample, k: int) -> TailProcessCurve:
     """Exact piecewise representation of the tail step function."""
     n = s.n
-    if not (isinstance(k, (int, np.integer)) and 2 <= k <= n - 1):
-        raise ValueError(f"k must be an integer in [2, {n - 1}], got {k!r}")
+    estimators._check_k(k, n, lo=2)
     m = np.arange(1, k)
     # atom at Z(n-m) carries weight (1/k) * m / (S(m) + m/k)
     weights = (m / (s.top_delta_prefix[: k - 1] + m / k)) / k

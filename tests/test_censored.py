@@ -108,3 +108,15 @@ class TestSort:
         s = sort_censored([1.0, 2.0], [1, 0])
         with pytest.raises(ValueError):
             s.z[0] = 9.0
+
+    @pytest.mark.parametrize("d", [[0.5, 1, 0.9], [1.0, np.nan, 0.0], [1, 1, -0.2]])
+    def test_fractional_indicators_rejected(self, d):
+        # an integer cast ahead of the check would truncate 0.5 and 0.9 to 0
+        with pytest.raises(ValueError, match="0 or 1"):
+            sort_censored([1.0, 2.0, 3.0], d)
+
+    def test_float_and_bool_indicators_accepted(self):
+        s = sort_censored([1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
+        assert s.delta.dtype == np.int64
+        assert s.delta.tolist() == [1, 0, 1]
+        assert sort_censored([1.0, 2.0, 3.0], [True, False, True]).delta.tolist() == [1, 0, 1]

@@ -321,3 +321,15 @@ class TestReportAndSweep:
         vals = sweep(s, "new", ks)
         for k, v in zip(ks, vals):
             assert v == new_weighted(s, int(k))
+
+
+class TestThresholdType:
+    @pytest.mark.parametrize("fn", [hill, p_hat, efg, ww1, ww2, new_weighted])
+    def test_bool_rejected(self, fn):
+        s = sort_censored([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 1, 1])
+        for k in (True, False):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                fn(s, k)
+
+    def test_numpy_integer_accepted(self, tiny5):
+        assert hill(tiny5, np.int64(2)) == hill(tiny5, 2)

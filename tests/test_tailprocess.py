@@ -278,3 +278,12 @@ class TestGofPvalue:
 
     def test_csv_header(self):
         assert GOF_CSV_HEADER == "ks,cvm,p_ks,p_cvm,k,n,reps,seed"
+
+
+class TestDeltaCurveThreshold:
+    def test_bool_rejected_with_shared_message(self):
+        s = sort_censored([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 1, 1, 1])
+        with pytest.raises(ValueError, match=r"k must be an integer in \[2, 4\], got True"):
+            delta_curve(s, True)
+        with pytest.raises(ValueError, match=r"k must be an integer in \[2, 4\], got 5"):
+            delta_curve(s, 5)
