@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import HeavyTailModel
+from .rng import stream
 
 __all__ = ["SortedCensoredSample", "sort_censored", "censor", "generate_censored"]
 
@@ -98,3 +99,13 @@ def generate_censored(
     x = model_x.sample(n, rng_x)
     y = model_y.sample(n, rng_y)
     return censor(x, y)
+
+
+def _draw_sample(
+    model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: int, r: int, complete_data: bool = False
+) -> SortedCensoredSample:
+    """Replicate r's sample from stream (seed, r): all lifetimes observed, or censored."""
+    rng = stream(seed, r)
+    if complete_data:
+        return sort_censored(model_x.sample(n, rng), np.ones(n, dtype=np.int64))
+    return sort_censored(*generate_censored(model_x, model_y, n, rng))

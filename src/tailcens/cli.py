@@ -10,7 +10,6 @@ identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import contextmanager
 
@@ -18,11 +17,13 @@ from . import estimators, io
 from .censored import sort_censored
 from .distributions import ModelSpecError, parse_model
 from .harness import McConfig, default_k_grid, run_bias_rmse, write_meta, write_result_csv
+from .parallel import check_workers
 from .selection import reiss_thomas_k
 from .tailprocess import GOF_CSV_HEADER, gof_pvalue
 
 ESTIMATE_CSV_HEADER = "estimator,k,value,p_hat,std_err,ci_lo,ci_hi"
 SELECT_CSV_HEADER = "k_star,theta,estimator"
+WORKERS_HELP = "integer >= 1, accepted but without effect: replicates run in order on one thread"
 
 
 def _model_arg(text: str):
@@ -42,6 +43,13 @@ def _k_arg(text: str):
     if k < 1:
         raise argparse.ArgumentTypeError(f"k must be >= 1, got {k}")
     return k
+
+
+def _workers_arg(text: str) -> int:
+    try:
+        return check_workers(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"workers must be an integer >= 1, got {text!r}") from None
 
 
 def _estimators_arg(text: str) -> tuple[str, ...]:
@@ -119,14 +127,9 @@ def _cmd_estimate(args) -> None:
             ks = [args.k]
             values = [estimators.evaluate(s, args.k, est)]  # errors carry their message
         for k, value in zip(ks, values):
-            if math.isnan(value):
-                lines.append(_row(est, k, None, estimators.p_hat(s, k)))
-                continue
             p = estimators.p_hat(s, k)
-            std_err = ci_lo = ci_hi = None
-            if args.ci is not None and est == "new" and p > 0:
-                std_err, ci_lo, ci_hi = estimators.asymptotic_ci(value, p, k, args.ci)
-            lines.append(_row(est, k, value, p, std_err, ci_lo, ci_hi))
+            ci = estimators.attached_ci(est, value, p, k, args.ci) or ()
+            lines.append(_row(est, k, value, p, *ci))
     with _open_out(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -218,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof.add_argument("--input", required=True, help="censored sample CSV (header z,delta)")
     p_gof.add_argument("--k", type=int, required=True)
     p_gof.add_argument("--reps", type=int, default=500, help="null replications (default 500)")
-    p_gof.add_argument("--workers", type=int, default=1, help="thread workers (no effect on output)")
+    p_gof.add_argument("--workers", type=_workers_arg, default=1, help=WORKERS_HELP)
     _add_common(p_gof)
     p_gof.set_defaults(func=_cmd_gof)
 
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated ids (default new,efg,ww1)",
     )
     p_sim.add_argument("--complete", action="store_true", help="complete-data mode: no censoring drawn")
-    p_sim.add_argument("--workers", type=int, default=1, help="thread workers (no effect on output)")
+    p_sim.add_argument("--workers", type=_workers_arg, default=1, help=WORKERS_HELP)
     _add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

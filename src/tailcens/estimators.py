@@ -42,6 +42,7 @@ __all__ = [
     "new_weighted",
     "weighted_functional",
     "asymptotic_ci",
+    "attached_ci",
     "estimate_report",
     "evaluate",
     "sweep",
@@ -209,6 +210,14 @@ def asymptotic_ci(gamma1_hat: float, p: float, k: int, level: float = 0.95) -> t
     return std_err, max(0.0, gamma1_hat - zq * std_err), gamma1_hat + zq * std_err
 
 
+def attached_ci(estimator_id: str, value: float, p: float, k: int, level: float | None):
+    """``(std_err, lower, upper)`` for ``new`` where :func:`asymptotic_ci` applies, else None."""
+    # value is NaN where undefined and 0 when the top k points tie the threshold
+    if level is None or estimator_id != "new" or not (p > 0 and value > 0):
+        return None
+    return asymptotic_ci(value, p, k, level)
+
+
 _DISPATCH = {
     "hill": hill,
     "efg": efg,
@@ -244,25 +253,18 @@ def estimate_report(
     estimator_id: str,
     ci_level: float | None = None,
 ) -> EstimateReport:
-    """Evaluate one estimator at one threshold and assemble a report.
-
-    Confidence intervals are attached for the ``new`` estimator only; the
-    limiting variance above does not describe the others.
-    """
+    """Evaluate one estimator at one threshold and assemble a report, with :func:`attached_ci`."""
     value = _DISPATCH[_checked_id(estimator_id)](s, k)
     p = p_hat(s, k)
-    std_err = ci = None
-    if ci_level is not None and estimator_id == "new":
-        std_err, lo, hi = asymptotic_ci(value, p, k, ci_level)
-        ci = (lo, hi)
+    interval = attached_ci(estimator_id, value, p, k, ci_level)
     return EstimateReport(
         estimator_id=estimator_id,
         k=int(k),
         value=value,
         p_hat=p,
-        std_err=std_err,
-        ci=ci,
-        ci_level=ci_level if ci is not None else None,
+        std_err=interval[0] if interval else None,
+        ci=interval[1:] if interval else None,
+        ci_level=ci_level if interval else None,
     )
 
 

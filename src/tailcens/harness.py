@@ -2,7 +2,7 @@
 
 Replicate r draws its data from stream (seed, r), with lifetime and
 censoring sub-streams spawned per replicate, so results are bit-identical
-across runs and across worker counts.  Undefined estimator values (an
+across runs and for any ``workers`` value.  Undefined estimator values (an
 estimator can fail at a given threshold on a given draw) are excluded from
 that cell's aggregation and counted instead.
 """
@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censored import SortedCensoredSample, generate_censored, sort_censored
+from .censored import _draw_sample
 from .distributions import HeavyTailModel, format_model
 from .estimators import ESTIMATOR_IDS, new_weighted, sweep
 from .io import fmt
 from .parallel import replicate_map
-from .rng import stream
 
 __all__ = [
     "McConfig",
@@ -85,26 +84,8 @@ class McResult:
     undefined_count: np.ndarray
 
 
-def _draw_sample(
-    model_x: HeavyTailModel,
-    model_y: HeavyTailModel,
-    n: int,
-    complete_data: bool,
-    seed: int,
-    r: int,
-) -> SortedCensoredSample:
-    """Replicate r's sample from stream (seed, r): all lifetimes observed, or censored."""
-    rng = stream(seed, r)
-    if complete_data:
-        z = model_x.sample(n, rng)
-        d = np.ones(n, dtype=np.int64)
-    else:
-        z, d = generate_censored(model_x, model_y, n, rng)
-    return sort_censored(z, d)
-
-
 def _replicate_values(cfg: McConfig, r: int) -> np.ndarray:
-    s = _draw_sample(cfg.model_x, cfg.model_y, cfg.n, cfg.complete_data, cfg.seed, r)
+    s = _draw_sample(cfg.model_x, cfg.model_y, cfg.n, cfg.seed, r, cfg.complete_data)
     return np.stack([sweep(s, est, cfg.k_grid) for est in cfg.estimators])
 
 
@@ -143,7 +124,7 @@ def run_variance_check(
     gamma1 = model_x.true_evi
 
     def one(r: int) -> float:
-        return new_weighted(_draw_sample(model_x, model_y, n, complete_data, seed, r), k)
+        return new_weighted(_draw_sample(model_x, model_y, n, seed, r, complete_data), k)
 
     values = np.asarray(replicate_map(one, reps, workers))
     scaled = np.sqrt(k) * (values - gamma1)

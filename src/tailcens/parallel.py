@@ -1,20 +1,22 @@
-"""Ordered map over replicate indices with optional thread workers.
+"""Ordered map over replicate indices, run on the calling thread.
 
-Results come back in replicate order whatever the worker count, so callers
-that key their random streams by replicate index get identical output for
-any scheduling.
+``workers`` is checked but has no effect: threads only slowed replicates,
+whose small numpy steps serialize on the interpreter lock.
 """
 
-from __future__ import annotations
+from numbers import Integral
 
-from concurrent.futures import ThreadPoolExecutor
+__all__ = ["check_workers", "replicate_map"]
 
-__all__ = ["replicate_map"]
+
+def check_workers(workers) -> int:
+    """Return ``workers`` if it is an integer >= 1 (a bool is not); raise ValueError otherwise."""
+    if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    return workers
 
 
 def replicate_map(fn, count: int, workers: int = 1) -> list:
-    """Apply ``fn`` to 0..count-1, returning results in index order."""
-    if workers <= 1:
-        return [fn(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+    """Apply ``fn`` to 0..count-1 in index order on the calling thread."""
+    check_workers(workers)
+    return [fn(r) for r in range(count)]

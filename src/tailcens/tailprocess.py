@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .censored import SortedCensoredSample, generate_censored, sort_censored
+from .censored import SortedCensoredSample, _draw_sample
 from .distributions import Pareto
 from .parallel import replicate_map
-from .rng import stream
 
 __all__ = [
     "TailProcessCurve",
@@ -138,16 +137,18 @@ def _cvm_from_curve(curve: TailProcessCurve, gamma: float, p: float) -> float:
     return float(curve.k * q / gamma * total)
 
 
+def _check_fit(gamma_hat: float, p: float) -> None:
+    if not (gamma_hat > 0 and p > 0):
+        raise ValueError(f"gamma_hat and p must be > 0, got gamma_hat={gamma_hat}, p={p}")
+
+
 def ks_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> float:
     """Scaled sup distance between the tail step function and the fitted tail.
 
     The supremum over x >= 1 of |curve(x) - x**(-1/gamma_hat)/p|, times
     sqrt(k), evaluated exactly piece by piece.
     """
-    if not gamma_hat > 0:
-        raise ValueError(f"gamma_hat must be > 0, got {gamma_hat}")
-    if not p > 0:
-        raise ValueError(f"p must be > 0, got {p}")
+    _check_fit(gamma_hat, p)
     return _ks_from_curve(delta_curve(s, k), gamma_hat, p)
 
 
@@ -159,10 +160,7 @@ def cvm_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> flo
     closed form per piece (the integrand expands into three elementary power
     terms on each constant piece, including the unbounded final one).
     """
-    if not gamma_hat > 0:
-        raise ValueError(f"gamma_hat must be > 0, got {gamma_hat}")
-    if not p > 0:
-        raise ValueError(f"p must be > 0, got {p}")
+    _check_fit(gamma_hat, p)
     return _cvm_from_curve(delta_curve(s, k), gamma_hat, p)
 
 
@@ -183,6 +181,15 @@ class GofReport:
 GOF_CSV_HEADER = "ks,cvm,p_ks,p_cvm,k,n,reps,seed"
 
 
+def _fit_stats(s: SortedCensoredSample, k: int) -> tuple[float, float]:
+    """KS and CvM at k against the tail fitted by ``hill`` and ``p_hat``."""
+    gamma_hat, p = estimators.hill(s, k), estimators.p_hat(s, k)
+    if p == 0.0:
+        return np.inf, np.inf  # nothing observed in the top k: maximal misfit
+    curve = delta_curve(s, k)
+    return _ks_from_curve(curve, gamma_hat, p), _cvm_from_curve(curve, gamma_hat, p)
+
+
 def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: int = 1) -> GofReport:
     """Monte Carlo p-values for the KS and CvM statistics.
 
@@ -195,7 +202,6 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100 for a usable p-value, got {reps}")
-    gamma_hat = estimators.hill(s, k)
     p = estimators.p_hat(s, k)
     if p == 0.0 or p == 1.0:
         raise DegenerateNullError(
@@ -204,23 +210,10 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     gamma1_hat = estimators.new_weighted(s, k)
     if not gamma1_hat > 0:
         raise DegenerateNullError(f"estimated index {gamma1_hat:g} admits no Pareto null")
-    ks_obs = ks_stat(s, k, gamma_hat, p)
-    cvm_obs = cvm_stat(s, k, gamma_hat, p)
+    ks_obs, cvm_obs = _fit_stats(s, k)
     null_x = Pareto(gamma1_hat)
     null_y = Pareto(gamma1_hat * p / (1.0 - p))
-    n = s.n
-
-    def one(r: int) -> tuple[float, float]:
-        z, d = generate_censored(null_x, null_y, n, stream(seed, r))
-        ss = sort_censored(z, d)
-        g_r = estimators.hill(ss, k)
-        p_r = estimators.p_hat(ss, k)
-        if p_r == 0.0:
-            return np.inf, np.inf  # nothing observed in the top k: maximal misfit
-        curve = delta_curve(ss, k)
-        return _ks_from_curve(curve, g_r, p_r), _cvm_from_curve(curve, g_r, p_r)
-
-    pairs = replicate_map(one, reps, workers)
+    pairs = replicate_map(lambda r: _fit_stats(_draw_sample(null_x, null_y, s.n, seed, r), k), reps, workers)
     ks_count = sum(1 for a, _ in pairs if a >= ks_obs)
     cvm_count = sum(1 for _, b in pairs if b >= cvm_obs)
     return GofReport(
@@ -229,7 +222,7 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
         p_value_ks=(1 + ks_count) / (reps + 1),
         p_value_cvm=(1 + cvm_count) / (reps + 1),
         k=int(k),
-        n=n,
+        n=s.n,
         reps=int(reps),
         seed=int(seed),
     )

@@ -20,6 +20,14 @@ def pareto_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def tie_csv(tmp_path):
+    # new(2) = 0: the second-largest value ties with the threshold
+    path = tmp_path / "tie.csv"
+    write_censored_csv(path, [1.0, 2.0, 5.0, 5.0, 5.0], [1, 0, 1, 1, 0])
+    return path
+
+
 def run_ok(args):
     assert main([str(a) for a in args]) == 0
 
@@ -73,6 +81,23 @@ class TestEstimate:
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv"), "--k", "2"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestEstimateCi:
+    def test_no_ci_when_value_is_zero(self, tie_csv, capsys):
+        run_ok(["estimate", "--input", tie_csv, "--all-k", "--estimator", "new", "--ci", "0.95"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "new,2,0,0.5,,,"
+        assert all(line.split(",")[4] != "" for line in lines[2:])  # k = 3, 4 have a value > 0
+        run_ok(["estimate", "--input", tie_csv, "--k", "2", "--estimator", "new", "--ci", "0.95"])
+        assert capsys.readouterr().out.splitlines()[1] == "new,2,0,0.5,,,"
+
+    def test_no_ci_when_proportion_is_zero(self, tmp_path, capsys):
+        path = tmp_path / "top_censored.csv"
+        write_censored_csv(path, [1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 0, 0])
+        run_ok(["estimate", "--input", path, "--k", "2", "--estimator", "new", "--ci", "0.95"])
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[3] == "0" and float(row[2]) > 0 and row[4:] == ["", "", ""]
 
 
 class TestSelectK:
@@ -145,6 +170,24 @@ class TestSimulate:
         ])
         line = capsys.readouterr().out.splitlines()[1]
         assert line.split(",")[4] == "0"
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("value", ["-5", "0", "1.5", "two"])
+    def test_bad_workers_is_usage_error(self, pareto_csv, value, capsys):
+        for args in (
+            ["gof", "--input", str(pareto_csv), "--k", "30", "--reps", "100"],
+            ["simulate", "--model", "pareto:1", "--censor", "pareto:1", "--n", "50", "--reps", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(args + ["--workers", value])
+            assert exc.value.code == 2
+            assert "workers must be an integer >= 1" in capsys.readouterr().err
+
+    def test_overflowing_model_is_data_error(self, capsys):
+        args = ["simulate", "--model", "pareto:200", "--censor", "pareto:1", "--n", "200", "--reps", "3"]
+        assert main(args + ["--k-grid", "5,10"]) == 1
+        assert "Pareto(gamma=200.0)" in capsys.readouterr().err
 
 
 class TestConvert:

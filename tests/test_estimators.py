@@ -323,6 +323,25 @@ class TestReportAndSweep:
             assert v == new_weighted(s, int(k))
 
 
+class TestReportCi:
+    @pytest.mark.parametrize(
+        "z, delta",
+        [
+            ([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 0, 0]),  # p_hat(2) = 0
+            ([1.0, 2.0, 5.0, 5.0, 5.0], [1, 0, 1, 1, 0]),  # new(2) = 0: tie with the threshold
+        ],
+    )
+    def test_no_ci_without_a_limiting_variance(self, z, delta):
+        report = estimate_report(sort_censored(z, delta), 2, "new", ci_level=0.95)
+        assert report.p_hat == 0.0 or report.value == 0.0
+        assert report.std_err is None and report.ci is None and report.ci_level is None
+
+    def test_ci_is_asymptotic_ci(self, tiny5):
+        report = estimate_report(tiny5, 3, "new", ci_level=0.9)
+        std_err, lo, hi = asymptotic_ci(report.value, report.p_hat, 3, 0.9)
+        assert report.std_err == std_err and report.ci == (lo, hi) and report.ci_level == 0.9
+
+
 class TestThresholdType:
     @pytest.mark.parametrize("fn", [hill, p_hat, efg, ww1, ww2, new_weighted])
     def test_bool_rejected(self, fn):
