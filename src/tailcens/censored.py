@@ -91,12 +91,16 @@ def generate_censored(
 
     The lifetime and censoring draws come from two child streams spawned
     from ``rng``, so the pair is reproducible from the parent stream's key
-    alone.
+    alone.  A lifetime that overflows to inf (or underflows to 0) raises
+    ValueError naming ``model_x``; a censoring time that overflows to inf
+    is kept, since it observes its lifetime.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng_x, rng_y = rng.spawn(2)
     x = model_x.sample(n, rng_x)
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise ValueError(f"{model_x!r} drew lifetimes outside (0, inf): its parameters are too extreme to simulate")
     y = model_y.sample(n, rng_y)
     return censor(x, y)
 

@@ -17,7 +17,7 @@ from . import estimators, io
 from .censored import sort_censored
 from .distributions import ModelSpecError, parse_model
 from .harness import McConfig, default_k_grid, run_bias_rmse, write_meta, write_result_csv
-from .parallel import check_workers
+from .parallel import _check_workers
 from .selection import reiss_thomas_k
 from .tailprocess import GOF_CSV_HEADER, gof_pvalue
 
@@ -47,7 +47,7 @@ def _k_arg(text: str):
 
 def _workers_arg(text: str) -> int:
     try:
-        return check_workers(int(text))
+        return _check_workers(int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"workers must be an integer >= 1, got {text!r}") from None
 

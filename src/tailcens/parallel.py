@@ -6,10 +6,10 @@ whose small numpy steps serialize on the interpreter lock.
 
 from numbers import Integral
 
-__all__ = ["check_workers", "replicate_map"]
+__all__ = ["replicate_map"]
 
 
-def check_workers(workers) -> int:
+def _check_workers(workers) -> int:
     """Return ``workers`` if it is an integer >= 1 (a bool is not); raise ValueError otherwise."""
     if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -18,5 +18,5 @@ def check_workers(workers) -> int:
 
 def replicate_map(fn, count: int, workers: int = 1) -> list:
     """Apply ``fn`` to 0..count-1 in index order on the calling thread."""
-    check_workers(workers)
+    _check_workers(workers)
     return [fn(r) for r in range(count)]

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from tailcens import Pareto, censor, censoring_profile, generate_censored, sort_censored, stream
+from tailcens import Burr, Frechet, LogGamma, Pareto, censor, censoring_profile, generate_censored, sort_censored, stream
 
 
 class TestCensor:
@@ -37,6 +39,19 @@ class TestGenerate:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             generate_censored(Pareto(1.0), Pareto(1.0), 0, stream(0))
+
+    @pytest.mark.parametrize("model", [Frechet(200.0), Pareto(200.0), LogGamma(1.0, 200.0), Burr(1.0, 0.005, 1.0)])
+    def test_lifetime_outside_positive_reals_rejected(self, model):
+        # min(inf, y) would silently record an overflowed lifetime as censored
+        with np.errstate(over="ignore", divide="ignore"), pytest.raises(ValueError, match=re.escape(repr(model))):
+            generate_censored(model, Pareto(1.0), 200, stream(0))
+
+    def test_overflowing_censoring_time_observes_lifetime(self):
+        with np.errstate(over="ignore"):
+            z, d = generate_censored(Pareto(1.0), Pareto(200.0), 200, stream(0))
+            y = Pareto(200.0).sample(200, stream(0).spawn(2)[1])
+        assert np.isinf(y).any()
+        assert np.all(np.isfinite(z)) and np.all(d[np.isinf(y)] == 1)
 
 
 class TestSort:

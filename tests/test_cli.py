@@ -184,9 +184,18 @@ class TestWorkers:
             assert exc.value.code == 2
             assert "workers must be an integer >= 1" in capsys.readouterr().err
 
+    def test_overflowing_censoring_law_is_accepted(self, tmp_path):
+        # Pareto(100) censoring times overflow to inf at this n and observe their lifetimes
+        out = tmp_path / "r.csv"
+        args = ["simulate", "--model", "pareto:1", "--censor", "pareto:100", "--n", "20000", "--reps", "2"]
+        with np.errstate(over="ignore"):
+            run_ok(args + ["--k-grid", "50,100", "--estimators", "new", "--out", out])
+        assert len(out.read_text().splitlines()) == 3
+
     def test_overflowing_model_is_data_error(self, capsys):
         args = ["simulate", "--model", "pareto:200", "--censor", "pareto:1", "--n", "200", "--reps", "3"]
-        assert main(args + ["--k-grid", "5,10"]) == 1
+        with np.errstate(over="ignore"):
+            assert main(args + ["--k-grid", "5,10"]) == 1
         assert "Pareto(gamma=200.0)" in capsys.readouterr().err
 
 

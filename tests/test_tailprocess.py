@@ -279,6 +279,21 @@ class TestGofPvalue:
     def test_csv_header(self):
         assert GOF_CSV_HEADER == "ks,cvm,p_ks,p_cvm,k,n,reps,seed"
 
+    def test_null_censoring_times_may_overflow(self):
+        # p_hat = 0.99 at k = 100 puts the null censoring index near 99 * gamma1_hat,
+        # so its largest draws overflow to inf; such a censoring time observes its lifetime
+        n, k = 20_000, 100
+        z = Pareto(0.8).sample(n, stream(61))
+        d = np.ones(n, dtype=np.int64)
+        d[np.argmax(z)] = 0
+        s = sort_censored(z, d)
+        assert p_hat(s, k) == 0.99
+        with np.errstate(over="ignore"):
+            g1 = new_weighted(s, k)
+            assert np.isinf(Pareto(g1 * 0.99 / 0.01).sample(n, stream(0))).any()
+            report = gof_pvalue(s, k, reps=100, seed=0)
+        assert 1 / 101 <= report.p_value_ks <= 1.0 and 1 / 101 <= report.p_value_cvm <= 1.0
+
 
 class TestDeltaCurveThreshold:
     def test_bool_rejected_with_shared_message(self):
