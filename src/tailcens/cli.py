@@ -10,15 +10,16 @@ identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 
 from . import estimators, io
 from .censored import sort_censored
-from .distributions import ModelSpecError, parse_model
+from .distributions import parse_model
 from .harness import McConfig, default_k_grid, run_bias_rmse, write_meta, write_result_csv
 from .parallel import _check_workers
-from .selection import reiss_thomas_k
+from .selection import _check_theta, reiss_thomas_k
 from .tailprocess import GOF_CSV_HEADER, gof_pvalue
 
 ESTIMATE_CSV_HEADER = "estimator,k,value,p_hat,std_err,ci_lo,ci_hi"
@@ -26,71 +27,40 @@ SELECT_CSV_HEADER = "k_star,theta,estimator"
 WORKERS_HELP = "integer >= 1, accepted but without effect: replicates run in order on one thread"
 
 
-def _model_arg(text: str):
+def _parsed(parse, text: str):
+    """``parse(text)``, or the text itself when it does not parse, for the rule to reject."""
     try:
-        return parse_model(text)
-    except ModelSpecError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _k_arg(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        k = int(text)
+        return parse(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"k must be an integer or 'auto', got {text!r}") from None
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"k must be >= 1, got {k}")
-    return k
+        return text
 
 
-def _workers_arg(text: str) -> int:
-    try:
-        return _check_workers(int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"workers must be an integer >= 1, got {text!r}") from None
+def _rule(check, parse=str):
+    """argparse type applying the library rule ``check`` to the parsed text; its ValueError exits 2."""
+
+    def convert(text: str):
+        try:
+            return check(_parsed(parse, text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _estimators_arg(text: str) -> tuple[str, ...]:
+def _k_count(k) -> int:
+    # no sample yet: only the lower end of the threshold range applies
+    return estimators._check_k(k, math.inf)
+
+
+def _k_grid(text: str) -> tuple[int, ...]:
+    return tuple(_k_count(_parsed(int, part)) for part in text.split(","))
+
+
+def _estimator_ids(text: str) -> tuple[str, ...]:
     ids = tuple(part.strip() for part in text.split(",") if part.strip())
     if not ids:
-        raise argparse.ArgumentTypeError("empty estimator list")
-    for est in ids:
-        if est not in estimators.ESTIMATOR_IDS:
-            known = "|".join(estimators.ESTIMATOR_IDS)
-            raise argparse.ArgumentTypeError(f"unknown estimator {est!r} (expected one of {known})")
-    return ids
-
-
-def _level_arg(text: str) -> float:
-    try:
-        level = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"confidence level must be a number, got {text!r}") from None
-    if not 0.0 < level < 1.0:
-        raise argparse.ArgumentTypeError(f"confidence level must lie in (0, 1), got {text}")
-    return level
-
-
-def _theta_arg(text: str) -> float:
-    try:
-        theta = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"theta must be a number, got {text!r}") from None
-    if not 0.0 <= theta <= 0.5:
-        raise argparse.ArgumentTypeError(f"theta must lie in [0, 0.5], got {text}")
-    return theta
-
-
-def _k_grid_arg(text: str) -> tuple[int, ...]:
-    try:
-        grid = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"k grid must be comma-separated integers, got {text!r}") from None
-    if not grid or any(k < 1 for k in grid):
-        raise argparse.ArgumentTypeError(f"k grid entries must be >= 1, got {text!r}")
-    return grid
+        raise ValueError("empty estimator list")
+    return tuple(map(estimators._checked_id, ids))
 
 
 @contextmanager
@@ -193,24 +163,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extreme value index estimation for randomly right-censored heavy-tailed data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    theta, workers = _rule(_check_theta, float), _rule(_check_workers, int)
+    estimator_ids, model = _rule(_estimator_ids), _rule(parse_model)
 
     p_est = sub.add_parser("estimate", help="estimate the tail index from a z,delta CSV")
     p_est.add_argument("--input", required=True, help="censored sample CSV (header z,delta)")
-    p_est.add_argument("--k", type=_k_arg, default="auto", help="threshold count, or 'auto' (default)")
     p_est.add_argument(
-        "--estimator", type=_estimators_arg, default=("new",),
+        "--k", type=_rule(lambda v: v if v == "auto" else _k_count(v), int), default="auto",
+        help="threshold count, or 'auto' (default)",
+    )
+    p_est.add_argument(
+        "--estimator", type=estimator_ids, default=("new",),
         help="comma-separated ids among hill|efg|ww1|ww2|new (default new)",
     )
-    p_est.add_argument("--ci", type=_level_arg, default=None, help="confidence level for the new estimator")
+    p_est.add_argument(
+        "--ci", type=_rule(estimators._check_level, float), default=None,
+        help="confidence level for the new estimator",
+    )
     p_est.add_argument("--all-k", action="store_true", help="emit one row per valid k instead of a single k")
-    p_est.add_argument("--theta", type=_theta_arg, default=0.3, help="stability exponent for --k auto (default 0.3)")
+    p_est.add_argument("--theta", type=theta, default=0.3, help="stability exponent for --k auto (default 0.3)")
     _add_common(p_est)
     p_est.set_defaults(func=_cmd_estimate)
 
     p_sel = sub.add_parser("select-k", help="adaptive threshold choice")
     p_sel.add_argument("--input", required=True, help="censored sample CSV (header z,delta)")
-    p_sel.add_argument("--estimator", default="new", choices=estimators.ESTIMATOR_IDS)
-    p_sel.add_argument("--theta", type=_theta_arg, default=0.3, help="stability exponent (default 0.3)")
+    p_sel.add_argument(
+        "--estimator", type=_rule(estimators._checked_id), default="new",
+        help="one of hill|efg|ww1|ww2|new (default new)",
+    )
+    p_sel.add_argument("--theta", type=theta, default=0.3, help="stability exponent (default 0.3)")
     p_sel.add_argument("--k-min", type=int, default=2)
     p_sel.add_argument("--k-max", type=int, default=None)
     p_sel.add_argument("--criterion-out", default=None, help="also write the k,criterion curve here")
@@ -221,22 +202,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof.add_argument("--input", required=True, help="censored sample CSV (header z,delta)")
     p_gof.add_argument("--k", type=int, required=True)
     p_gof.add_argument("--reps", type=int, default=500, help="null replications (default 500)")
-    p_gof.add_argument("--workers", type=_workers_arg, default=1, help=WORKERS_HELP)
+    p_gof.add_argument("--workers", type=workers, default=1, help=WORKERS_HELP)
     _add_common(p_gof)
     p_gof.set_defaults(func=_cmd_gof)
 
     p_sim = sub.add_parser("simulate", help="bias/RMSE Monte Carlo experiment")
-    p_sim.add_argument("--model", type=_model_arg, required=True, help="lifetime model spec, e.g. burr:1,2,1")
-    p_sim.add_argument("--censor", type=_model_arg, required=True, help="censoring model spec")
+    p_sim.add_argument("--model", type=model, required=True, help="lifetime model spec, e.g. burr:1,2,1")
+    p_sim.add_argument("--censor", type=model, required=True, help="censoring model spec")
     p_sim.add_argument("--n", type=int, required=True, help="sample size per replication")
     p_sim.add_argument("--reps", type=int, required=True, help="number of replications")
-    p_sim.add_argument("--k-grid", type=_k_grid_arg, default=None, help="comma-separated k values (default auto)")
+    p_sim.add_argument("--k-grid", type=_rule(_k_grid), default=None, help="comma-separated k values (default auto)")
     p_sim.add_argument(
-        "--estimators", type=_estimators_arg, default=("new", "efg", "ww1"),
+        "--estimators", type=estimator_ids, default=("new", "efg", "ww1"),
         help="comma-separated ids (default new,efg,ww1)",
     )
     p_sim.add_argument("--complete", action="store_true", help="complete-data mode: no censoring drawn")
-    p_sim.add_argument("--workers", type=_workers_arg, default=1, help=WORKERS_HELP)
+    p_sim.add_argument("--workers", type=workers, default=1, help=WORKERS_HELP)
     _add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -22,6 +22,7 @@ Estimator ids used across the CLI and the Monte Carlo harness:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy import integrate, special
@@ -75,11 +76,20 @@ class EstimateReport:
     ci_level: float | None = None
 
 
-def _check_k(k: int, n: int, lo: int = 1, hi: int | None = None) -> None:
+def _check_k(k, n, lo: int = 1, hi=None, name: str = "k"):
+    """Return ``k`` if it is an integer in [lo, hi] (hi defaults to n - 1); raise ValueError otherwise."""
     hi = n - 1 if hi is None else hi
     # bool is an int subclass, but True is a flag, not a threshold count
     if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and lo <= k <= hi):
-        raise ValueError(f"k must be an integer in [{lo}, {hi}], got {k!r}")
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {k!r}")
+    return k
+
+
+def _check_level(level):
+    """Return ``level`` if it is a number in (0, 1); raise ValueError otherwise."""
+    if isinstance(level, bool) or not (isinstance(level, Real) and 0.0 < level < 1.0):
+        raise ValueError(f"level must be a number in (0, 1), got {level!r}")
+    return level
 
 
 def hill(s: SortedCensoredSample, k: int) -> float:
@@ -201,10 +211,8 @@ def asymptotic_ci(gamma1_hat: float, p: float, k: int, level: float = 0.95) -> t
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if not gamma1_hat > 0:
         raise ValueError(f"gamma1_hat must be > 0, got {gamma1_hat}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_k(k, np.inf)
+    _check_level(level)
     std_err = float(gamma1_hat * np.sqrt((9.0 - 8.0 * p) / p) / np.sqrt(k))
     zq = float(special.ndtri(0.5 * (1.0 + level)))
     return std_err, max(0.0, gamma1_hat - zq * std_err), gamma1_hat + zq * std_err
@@ -237,6 +245,7 @@ def min_valid_k(estimator_id: str) -> int:
 
 
 def _checked_id(estimator_id: str) -> str:
+    """Return ``estimator_id`` if it names an estimator; raise ValueError otherwise."""
     if estimator_id not in _DISPATCH:
         raise ValueError(f"unknown estimator {estimator_id!r} (expected one of {'|'.join(ESTIMATOR_IDS)})")
     return estimator_id
@@ -332,9 +341,11 @@ _PATHS = {
 def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     """Evaluate one estimator over many thresholds; NaN where undefined.
 
-    Thresholds outside the estimator's valid range and thresholds where the
-    estimate does not exist (e.g. ``efg`` with no uncensored top points)
-    yield NaN rather than raising.
+    ``ks`` must hold integers: float, bool or other non-integer thresholds
+    raise ``ValueError`` rather than being truncated.  Integer thresholds
+    outside the estimator's valid range and thresholds where the estimate
+    does not exist (e.g. ``efg`` with no uncensored top points) yield NaN
+    rather than raising.
 
     One call costs O(n) for ``hill``/``efg``/``ww1``/``ww2``, which are read
     off prefix sums of the descending log spacings (agreeing with the
@@ -344,9 +355,14 @@ def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     not on the rest of ``ks``.
     """
     path = _PATHS[_checked_id(estimator_id)]
-    ks = np.asarray(ks, dtype=np.int64)
+    lo = _MIN_K[estimator_id]
+    ks = np.asarray(ks)
+    if ks.dtype.kind not in "iu":
+        for k in ks.ravel().tolist():
+            _check_k(k, s.n, lo)  # raises at the first float or bool threshold
+    ks = ks.astype(np.int64, copy=False)
     out = np.full(ks.shape, np.nan)
-    valid = (ks >= _MIN_K[estimator_id]) & (ks <= s.n - 1)
+    valid = (ks >= lo) & (ks <= s.n - 1)
     if valid.any():
         out[valid] = path(s, ks[valid])
     return out

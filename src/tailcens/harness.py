@@ -16,7 +16,7 @@ import numpy as np
 
 from .censored import _draw_sample
 from .distributions import HeavyTailModel, format_model
-from .estimators import ESTIMATOR_IDS, new_weighted, sweep
+from .estimators import _check_k, _checked_id, new_weighted, sweep
 from .io import fmt
 from .parallel import replicate_map
 
@@ -62,11 +62,9 @@ class McConfig:
         if self.n < 3:
             raise ValueError(f"n must be >= 3, got {self.n}")
         for k in self.k_grid:
-            if not 1 <= k <= self.n - 1:
-                raise ValueError(f"grid k={k} is invalid for n={self.n}")
+            _check_k(k, self.n)
         for est in self.estimators:
-            if est not in ESTIMATOR_IDS:
-                raise ValueError(f"unknown estimator {est!r}")
+            _checked_id(est)
 
 
 @dataclass(frozen=True)

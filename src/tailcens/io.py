@@ -46,35 +46,44 @@ def fmt(value) -> str:
     return f"{value:.6g}"
 
 
-def _check_header(row, expected, path):
-    if row is None or [c.strip() for c in row] != expected:
-        raise CsvFormatError(f"{path}: expected header {','.join(expected)!r}, got {row!r}")
+def _data_rows(path, header):
+    """Yield ``(lineno, row)`` for the non-blank rows of a CSV file with this exact header.
+
+    Raises :class:`CsvFormatError` on a wrong header, a row with the wrong
+    field count, or a file without data rows.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        row = next(reader, None)
+        if row is None or [c.strip() for c in row] != header:
+            raise CsvFormatError(f"{path}: expected header {','.join(header)!r}, got {row!r}")
+        empty = True
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise CsvFormatError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+            empty = False
+            yield lineno, row
+    if empty:
+        raise CsvFormatError(f"{path}: no data rows")
 
 
 def read_censored_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a ``z,delta`` file into (z, delta) arrays."""
     z: list[float] = []
     delta: list[int] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), CENSORED_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                value = float(row[0])
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}, field z: not a number: {row[0]!r}") from None
-            if not math.isfinite(value) or value <= 0:
-                raise CsvFormatError(f"{path}: line {lineno}, field z: must be finite and > 0, got {row[0]!r}")
-            if row[1].strip() not in ("0", "1"):
-                raise CsvFormatError(f"{path}: line {lineno}, field delta: must be 0 or 1, got {row[1]!r}")
-            z.append(value)
-            delta.append(int(row[1]))
-    if not z:
-        raise CsvFormatError(f"{path}: no data rows")
+    for lineno, row in _data_rows(path, CENSORED_HEADER):
+        try:
+            value = float(row[0])
+        except ValueError:
+            raise CsvFormatError(f"{path}: line {lineno}, field z: not a number: {row[0]!r}") from None
+        if not math.isfinite(value) or value <= 0:
+            raise CsvFormatError(f"{path}: line {lineno}, field z: must be finite and > 0, got {row[0]!r}")
+        if row[1].strip() not in ("0", "1"):
+            raise CsvFormatError(f"{path}: line {lineno}, field delta: must be 0 or 1, got {row[1]!r}")
+        z.append(value)
+        delta.append(int(row[1]))
     return np.asarray(z), np.asarray(delta, dtype=np.int64)
 
 
@@ -99,30 +108,19 @@ def write_censored_csv(path_or_file, z, delta) -> None:
 def read_raw_records(path) -> list[tuple[dt.date, dt.date, str]]:
     """Read a ``start,end,status`` file of ISO dates and D/A status flags."""
     records: list[tuple[dt.date, dt.date, str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), RAW_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CsvFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            dates = []
-            for field, cell in zip(("start", "end"), row[:2]):
-                try:
-                    dates.append(dt.date.fromisoformat(cell.strip()))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}, field {field}: not an ISO date: {cell!r}"
-                    ) from None
-            status = row[2].strip()
-            if status not in ("D", "A"):
-                raise CsvFormatError(f"{path}: line {lineno}, field status: must be D or A, got {row[2]!r}")
-            if dates[1] < dates[0]:
-                raise CsvFormatError(f"{path}: line {lineno}: end date precedes start date")
-            records.append((dates[0], dates[1], status))
-    if not records:
-        raise CsvFormatError(f"{path}: no data rows")
+    for lineno, row in _data_rows(path, RAW_HEADER):
+        dates = []
+        for field, cell in zip(("start", "end"), row[:2]):
+            try:
+                dates.append(dt.date.fromisoformat(cell.strip()))
+            except ValueError:
+                raise CsvFormatError(f"{path}: line {lineno}, field {field}: not an ISO date: {cell!r}") from None
+        status = row[2].strip()
+        if status not in ("D", "A"):
+            raise CsvFormatError(f"{path}: line {lineno}, field status: must be D or A, got {row[2]!r}")
+        if dates[1] < dates[0]:
+            raise CsvFormatError(f"{path}: line {lineno}: end date precedes start date")
+        records.append((dates[0], dates[1], status))
     return records
 
 

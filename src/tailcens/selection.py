@@ -18,13 +18,21 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .censored import SortedCensoredSample
-from .estimators import min_valid_k, sweep
+from .estimators import _check_k, min_valid_k, sweep
 
 __all__ = ["KSelection", "reiss_thomas_k"]
+
+
+def _check_theta(theta):
+    """Return ``theta`` if it is a number in [0, 0.5]; raise ValueError otherwise."""
+    if isinstance(theta, bool) or not (isinstance(theta, Real) and 0.0 <= theta <= 0.5):
+        raise ValueError(f"theta must be a number in [0, 0.5], got {theta!r}")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -47,11 +55,9 @@ def reiss_thomas_k(
 ) -> KSelection:
     """Pick the threshold count minimizing the path-stability criterion."""
     n = s.n
-    k_max = n - 1 if k_max is None else k_max
-    if not 0.0 <= theta <= 0.5:
-        raise ValueError(f"theta must lie in [0, 0.5], got {theta}")
-    if not 2 <= k_min < k_max <= n - 1:
-        raise ValueError(f"need 2 <= k_min < k_max <= n-1, got k_min={k_min}, k_max={k_max}")
+    _check_theta(theta)
+    _check_k(k_min, n, lo=2, hi=n - 2, name="k_min")
+    k_max = n - 1 if k_max is None else _check_k(k_max, n, lo=k_min + 1, name="k_max")
 
     start = min_valid_k(estimator_id)
     path_ks = np.arange(start, k_max + 1)

@@ -65,7 +65,7 @@ class TailProcessCurve:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < 1.0):
+        if not np.all(x >= 1.0):  # NaN is rejected too
             raise ValueError("the tail step function is defined for x >= 1")
         out = self.levels[np.searchsorted(self.breakpoints, x, side="right")]
         return float(out) if np.ndim(out) == 0 else out
@@ -78,18 +78,17 @@ def delta_curve(s: SortedCensoredSample, k: int) -> TailProcessCurve:
     m = np.arange(1, k)
     # atom at Z(n-m) carries weight (1/k) * m / (S(m) + m/k)
     weights = (m / (s.top_delta_prefix[: k - 1] + m / k)) / k
-    positions = s.z[n - 1 - m] / s.z[n - k - 1]
-    keep = positions > 1.0  # atoms tied with the threshold never exceed x*t
-    positions, weights = positions[keep], weights[keep]
-    order = np.argsort(positions)
-    positions, weights = positions[order], weights[order]
-    if positions.size:
-        breakpoints, starts = np.unique(positions, return_index=True)
-        grouped = np.add.reduceat(weights, starts)
-        levels = np.concatenate([np.cumsum(grouped[::-1])[::-1], [0.0]])
-    else:
-        breakpoints = np.empty(0)
-        levels = np.zeros(1)
+    # positions Z(n-m)/t never rise with m, so the atoms above the threshold
+    # form a prefix (atoms tied with it never exceed x*t) and ties are adjacent
+    positions = s.z[n - k : n - 1][::-1] / s.z[n - k - 1]
+    above = np.count_nonzero(positions > 1.0)
+    positions = positions[:above]
+    tie_end = np.ones(above, dtype=bool)  # the last atom of each tie group
+    np.not_equal(positions[:-1], positions[1:], out=tie_end[:-1])
+    last = np.flatnonzero(tie_end)[::-1]  # in ascending position order
+    breakpoints = positions[last]
+    levels = np.zeros(last.size + 1)
+    levels[:-1] = np.cumsum(weights[:above])[last]
     for arr in (breakpoints, levels):
         arr.setflags(write=False)
     return TailProcessCurve(breakpoints=breakpoints, levels=levels, k=int(k), n=n)
