@@ -9,6 +9,7 @@ sorted ascending with each indicator travelling alongside its observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +17,11 @@ from .distributions import HeavyTailModel
 from .rng import stream
 
 __all__ = ["SortedCensoredSample", "sort_censored", "censor", "generate_censored"]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -33,8 +39,11 @@ class SortedCensoredSample:
         the ``i`` largest, i.e. the running sum of ``delta`` taken from the
         top of the sample downward.
 
-    Instances are immutable (the arrays are marked read-only) and can be
-    shared freely across threads.
+    The private ``_*`` properties are the tail view the estimators read:
+    arrays indexed from the top of the sample, each built on first use and
+    cached, so an estimator pays only for the pieces it reads.  Instances
+    are immutable (all arrays, cached ones included, are read-only) and can
+    be shared freely across threads.
     """
 
     z: np.ndarray
@@ -44,6 +53,29 @@ class SortedCensoredSample:
     @property
     def n(self) -> int:
         return self.z.size
+
+    @cached_property
+    def _z_desc(self) -> np.ndarray:  # Z(n-i) at index i, contiguous
+        return _read_only(np.ascontiguousarray(self.z[::-1]))
+
+    @cached_property
+    def _top_float(self) -> np.ndarray:
+        return _read_only(self.top_delta_prefix.astype(float))
+
+    @cached_property
+    def _log_spacings(self) -> np.ndarray:  # lam_j = log(Z(n-j+1)/Z(n-j)) at index j-1
+        zr = self._z_desc
+        return _read_only(np.log(zr[:-1] / zr[1:]))
+
+    @cached_property
+    def _hill_sums(self) -> np.ndarray:
+        # at index k-1, the top k log excesses over Z(n-k), telescoped: sum_{j<=k} j*lam_j
+        return _read_only(np.cumsum(np.arange(1, self.n) * self._log_spacings))
+
+    @cached_property
+    def _km_desc(self) -> np.ndarray:  # product-limit survival 1 - F at Z(n-i), at index i
+        factors = np.where(self.delta == 1, 1.0 - 1.0 / (self.n - np.arange(self.n, dtype=float)), 1.0)
+        return _read_only(np.cumprod(factors)[::-1])
 
 
 def sort_censored(z, delta) -> SortedCensoredSample:
@@ -69,9 +101,7 @@ def sort_censored(z, delta) -> SortedCensoredSample:
     z_sorted = z[order]
     delta_sorted = delta[order]
     prefix = np.cumsum(delta_sorted[::-1])
-    for arr in (z_sorted, delta_sorted, prefix):
-        arr.setflags(write=False)
-    return SortedCensoredSample(z=z_sorted, delta=delta_sorted, top_delta_prefix=prefix)
+    return SortedCensoredSample(*map(_read_only, (z_sorted, delta_sorted, prefix)))
 
 
 def censor(x, y) -> tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,10 @@ identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import contextmanager
+
+import numpy as np
 
 from . import estimators, io
 from .censored import sort_censored
@@ -47,13 +48,14 @@ def _rule(check, parse=str):
     return convert
 
 
-def _k_count(k) -> int:
-    # no sample yet: only the lower end of the threshold range applies
-    return estimators._check_k(k, math.inf)
+def _count(lo: int, name: str):
+    """argparse type for an integer flag >= lo, checked by the library's count rule."""
+    return _rule(lambda v: estimators._check_count(v, lo, name), int)
 
 
 def _k_grid(text: str) -> tuple[int, ...]:
-    return tuple(_k_count(_parsed(int, part)) for part in text.split(","))
+    # no sample yet: only the lower end of the threshold range applies
+    return tuple(estimators._check_count(_parsed(int, part), 1, "k") for part in text.split(","))
 
 
 def _estimator_ids(text: str) -> tuple[str, ...]:
@@ -88,16 +90,15 @@ def _cmd_estimate(args) -> None:
     lines = [ESTIMATE_CSV_HEADER]
     for est in args.estimator:
         if args.all_k:
-            ks = range(estimators.min_valid_k(est), s.n)
-            values = estimators.sweep(s, est, list(ks))
+            ks = np.arange(estimators.min_valid_k(est), s.n)
         elif args.k == "auto":
-            ks = [reiss_thomas_k(s, est, theta=args.theta).k_star]
-            values = estimators.sweep(s, est, ks)
+            ks = np.array([reiss_thomas_k(s, est, theta=args.theta).k_star])
         else:
-            ks = [args.k]
-            values = [estimators.evaluate(s, args.k, est)]  # errors carry their message
-        for k, value in zip(ks, values):
-            p = estimators.p_hat(s, k)
+            ks = np.array([args.k])
+            estimators.evaluate(s, args.k, est)  # raises, with its message, where k is out of range or undefined
+        values = estimators.sweep(s, est, ks)  # the kernels evaluate reads: the same bits
+        p_col = s.top_delta_prefix[ks - 1] / ks  # p_hat at every k at once
+        for k, value, p in zip(ks.tolist(), values, p_col.tolist()):
             ci = estimators.attached_ci(est, value, p, k, args.ci) or ()
             lines.append(_row(est, k, value, p, *ci))
     with _open_out(args.out) as fh:
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate the tail index from a z,delta CSV")
     p_est.add_argument("--input", required=True, help="censored sample CSV (header z,delta)")
     p_est.add_argument(
-        "--k", type=_rule(lambda v: v if v == "auto" else _k_count(v), int), default="auto",
+        "--k", type=_rule(lambda v: v if v == "auto" else estimators._check_count(v, 1, "k"), int), default="auto",
         help="threshold count, or 'auto' (default)",
     )
     p_est.add_argument(
@@ -192,16 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="one of hill|efg|ww1|ww2|new (default new)",
     )
     p_sel.add_argument("--theta", type=theta, default=0.3, help="stability exponent (default 0.3)")
-    p_sel.add_argument("--k-min", type=int, default=2)
-    p_sel.add_argument("--k-max", type=int, default=None)
+    p_sel.add_argument("--k-min", type=_count(2, "k_min"), default=2)
+    p_sel.add_argument("--k-max", type=_count(3, "k_max"), default=None)
     p_sel.add_argument("--criterion-out", default=None, help="also write the k,criterion curve here")
     _add_common(p_sel)
     p_sel.set_defaults(func=_cmd_select_k)
 
     p_gof = sub.add_parser("gof", help="goodness-of-fit statistics with Monte Carlo p-values")
     p_gof.add_argument("--input", required=True, help="censored sample CSV (header z,delta)")
-    p_gof.add_argument("--k", type=int, required=True)
-    p_gof.add_argument("--reps", type=int, default=500, help="null replications (default 500)")
+    p_gof.add_argument("--k", type=_count(2, "k"), required=True)
+    p_gof.add_argument("--reps", type=_count(100, "reps"), default=500, help="null replications (default 500)")
     p_gof.add_argument("--workers", type=workers, default=1, help=WORKERS_HELP)
     _add_common(p_gof)
     p_gof.set_defaults(func=_cmd_gof)
@@ -209,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="bias/RMSE Monte Carlo experiment")
     p_sim.add_argument("--model", type=model, required=True, help="lifetime model spec, e.g. burr:1,2,1")
     p_sim.add_argument("--censor", type=model, required=True, help="censoring model spec")
-    p_sim.add_argument("--n", type=int, required=True, help="sample size per replication")
-    p_sim.add_argument("--reps", type=int, required=True, help="number of replications")
+    p_sim.add_argument("--n", type=_count(3, "n"), required=True, help="sample size per replication")
+    p_sim.add_argument("--reps", type=_count(1, "reps"), required=True, help="number of replications")
     p_sim.add_argument("--k-grid", type=_rule(_k_grid), default=None, help="comma-separated k values (default auto)")
     p_sim.add_argument(
         "--estimators", type=estimator_ids, default=("new", "efg", "ww1"),

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
 from .rng import uniform_open
 
@@ -155,13 +154,15 @@ class LogGamma(HeavyTailModel):
         _require_positive(a=self.a, b=self.b)
 
     def cdf(self, x):
+        from scipy.special import gammainc  # imported on use: scipy is slow to load
         x = _checked_x(x)
         lx = np.log(np.maximum(x, 1.0))
-        return _maybe_scalar(special.gammainc(self.a, lx / self.b))
+        return _maybe_scalar(gammainc(self.a, lx / self.b))
 
     def quantile(self, u):
+        from scipy.special import gammaincinv
         u = _checked_u(u)
-        return _maybe_scalar(np.exp(self.b * special.gammaincinv(self.a, u)))
+        return _maybe_scalar(np.exp(self.b * gammaincinv(self.a, u)))
 
     @property
     def true_evi(self) -> float:

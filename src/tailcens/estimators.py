@@ -21,11 +21,12 @@ Estimator ids used across the CLI and the Monte Carlo harness:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
+from statistics import NormalDist
 
 import numpy as np
-from scipy import integrate, special
 
 from .censored import SortedCensoredSample
 
@@ -85,20 +86,31 @@ def _check_k(k, n, lo: int = 1, hi=None, name: str = "k"):
     return k
 
 
+def _check_count(value, lo: int, name: str):
+    """Return ``value`` if it is an integer >= lo: the k rule with no upper end."""
+    return _check_k(value, math.inf, lo, name=name)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _check_level(level):
     """Return ``level`` if it is a number in (0, 1); raise ValueError otherwise."""
-    if isinstance(level, bool) or not (isinstance(level, Real) and 0.0 < level < 1.0):
+    if not (_is_number(level) and 0.0 < level < 1.0):
         raise ValueError(f"level must be a number in (0, 1), got {level!r}")
     return level
 
 
+def _check_fit(gamma, p) -> None:
+    """Accept a fitted power tail: numbers gamma > 0 and p in (0, 1]; raise ValueError otherwise."""
+    if not (_is_number(gamma) and _is_number(p) and gamma > 0 and 0.0 < p <= 1.0):
+        raise ValueError(f"a fitted tail needs numbers gamma > 0 and p in (0, 1], got gamma={gamma!r}, p={p!r}")
+
+
 def hill(s: SortedCensoredSample, k: int) -> float:
     """Average log-excess of the top k observations over the threshold."""
-    n = s.n
-    _check_k(k, n)
-    # log of the ratio, not difference of logs: keeps near-tied order
-    # statistics exactly consistent with the ratio-based tail curve
-    return float(np.mean(np.log(s.z[n - k :] / s.z[n - k - 1])))
+    return _at(s, k, "hill")
 
 
 def p_hat(s: SortedCensoredSample, k: int) -> float:
@@ -109,57 +121,22 @@ def p_hat(s: SortedCensoredSample, k: int) -> float:
 
 def efg(s: SortedCensoredSample, k: int) -> float:
     """Censoring-adjusted Hill estimate: hill(s, k) / p_hat(s, k)."""
-    p = p_hat(s, k)
-    if p == 0.0:
-        raise UndefinedEstimateError(f"no uncensored observations among the top {k}")
-    return hill(s, k) / p
-
-
-def _km_survival(s: SortedCensoredSample) -> np.ndarray:
-    """Product-limit survival 1 - F at each ascending order statistic."""
-    n = s.n
-    factors = np.where(s.delta == 1, 1.0 - 1.0 / (n - np.arange(n, dtype=float)), 1.0)
-    return np.cumprod(factors)
+    return _at(s, k, "efg")
 
 
 def kaplan_meier(s: SortedCensoredSample) -> KaplanMeierCurve:
     """Product-limit estimate of the lifetime cdf on the sample's support."""
-    return KaplanMeierCurve(support=s.z, values=1.0 - _km_survival(s))
+    return KaplanMeierCurve(support=s.z, values=1.0 - s._km_desc[::-1])
 
 
 def ww1(s: SortedCensoredSample, k: int) -> float:
     """Product-limit weighted sum of consecutive log spacings."""
-    n = s.n
-    _check_k(k, n)
-    surv = _km_survival(s)
-    base = surv[n - k - 1]
-    if base <= 0.0:
-        raise UndefinedEstimateError(f"product-limit survival vanishes at the threshold (k={k})")
-    i = np.arange(1, k + 1)
-    return float(np.sum(surv[n - i] / base * np.log(s.z[n - i] / s.z[n - i - 1])))
+    return _at(s, k, "ww1")
 
 
 def ww2(s: SortedCensoredSample, k: int) -> float:
     """Product-limit weighted sum of log excesses of uncensored top points."""
-    n = s.n
-    _check_k(k, n)
-    surv = _km_survival(s)
-    base = surv[n - k - 1]
-    if base <= 0.0:
-        raise UndefinedEstimateError(f"product-limit survival vanishes at the threshold (k={k})")
-    i = np.arange(1, k + 1)
-    terms = surv[n - i] / base * (s.delta[n - i] / i) * np.log(s.z[n - i] / s.z[n - k - 1])
-    return float(np.sum(terms))
-
-
-def _weighted_log_sum(s: SortedCensoredSample, k: int, gvals, alpha: float) -> float:
-    # sum_{i=1..k-1} (i/k) * g(i/(k+1)) * log(Z(n-i)/Z(n-k))**alpha / (S(i) + i/k);
-    # the ratio inside the log matches the tail curve's breakpoints bit for bit
-    n = s.n
-    i = np.arange(1, k)
-    den = s.top_delta_prefix[: k - 1] + i / k
-    logs = np.log(s.z[n - 1 - i] / s.z[n - k - 1])
-    return float(np.sum((i / k) * gvals / den * logs**alpha))
+    return _at(s, k, "ww2")
 
 
 def new_weighted(s: SortedCensoredSample, k: int) -> float:
@@ -170,8 +147,7 @@ def new_weighted(s: SortedCensoredSample, k: int) -> float:
     observation ranks above position i, the i-th term is damped only by i/k
     and can dominate the sum, which inflates the estimate under censoring.
     """
-    _check_k(k, s.n, lo=2)
-    return _weighted_log_sum(s, k, 1.0, 1.0)
+    return _at(s, k, "new")
 
 
 def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 1.0) -> float:
@@ -187,17 +163,19 @@ def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if g is None:
-        norm = float(special.gamma(alpha + 1.0))
+        norm = math.gamma(alpha + 1.0)
         gvals = 1.0
     else:
+        from scipy import integrate  # imported on use: scipy is slow to load
         norm, _ = integrate.quad(lambda x: g(x) * (-np.log(x)) ** alpha, 0.0, 1.0, epsabs=1e-10)
         if not np.isfinite(norm) or norm <= 0.0:
             raise ValueError(f"normalizer integral must be finite and > 0, got {norm}")
-        i = np.arange(1, k)
-        gvals = np.asarray([g(t) for t in i / (k + 1)], dtype=float)
+        gvals = np.asarray([g(t) for t in np.arange(1, k) / (k + 1)], dtype=float)
         if np.any(gvals < 0) or not np.all(np.isfinite(gvals)):
             raise ValueError("weight function must be finite and nonnegative on (0, 1)")
-    return _weighted_log_sum(s, k, gvals, alpha) / norm
+    # "* 1.0" and "** 1.0" are exact: g = None, alpha = 1 give the new kernel's bits
+    weights, logs = _new_terms(s, k, np.arange(1.0, k))
+    return float(np.sum(weights * gvals * logs**alpha)) / norm
 
 
 def asymptotic_ci(gamma1_hat: float, p: float, k: int, level: float = 0.95) -> tuple[float, float, float]:
@@ -207,14 +185,11 @@ def asymptotic_ci(gamma1_hat: float, p: float, k: int, level: float = 0.95) -> t
     (9 - 8p) * gamma1**2 / p, treated as centered (no bias correction).
     Returns (std_err, lower, upper) with the lower end truncated at 0.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if not gamma1_hat > 0:
-        raise ValueError(f"gamma1_hat must be > 0, got {gamma1_hat}")
-    _check_k(k, np.inf)
+    _check_fit(gamma1_hat, p)
+    _check_count(k, 1, "k")
     _check_level(level)
     std_err = float(gamma1_hat * np.sqrt((9.0 - 8.0 * p) / p) / np.sqrt(k))
-    zq = float(special.ndtri(0.5 * (1.0 + level)))
+    zq = NormalDist().inv_cdf(0.5 * (1.0 + level))
     return std_err, max(0.0, gamma1_hat - zq * std_err), gamma1_hat + zq * std_err
 
 
@@ -226,34 +201,21 @@ def attached_ci(estimator_id: str, value: float, p: float, k: int, level: float 
     return asymptotic_ci(value, p, k, level)
 
 
-_DISPATCH = {
-    "hill": hill,
-    "efg": efg,
-    "ww1": ww1,
-    "ww2": ww2,
-    "new": new_weighted,
-}
-
-ESTIMATOR_IDS = tuple(_DISPATCH)
-
-_MIN_K = {"hill": 1, "efg": 1, "ww1": 1, "ww2": 1, "new": 2}
-
-
 def min_valid_k(estimator_id: str) -> int:
     """Smallest threshold count at which the estimator is defined."""
-    return _MIN_K[_checked_id(estimator_id)]
+    return _PATHS[_checked_id(estimator_id)][1]
 
 
 def _checked_id(estimator_id: str) -> str:
     """Return ``estimator_id`` if it names an estimator; raise ValueError otherwise."""
-    if estimator_id not in _DISPATCH:
+    if estimator_id not in _PATHS:
         raise ValueError(f"unknown estimator {estimator_id!r} (expected one of {'|'.join(ESTIMATOR_IDS)})")
     return estimator_id
 
 
 def evaluate(s: SortedCensoredSample, k: int, estimator_id: str) -> float:
     """Evaluate the estimator named by ``estimator_id`` at threshold ``k``."""
-    return _DISPATCH[_checked_id(estimator_id)](s, k)
+    return _at(s, k, _checked_id(estimator_id))
 
 
 def estimate_report(
@@ -263,7 +225,7 @@ def estimate_report(
     ci_level: float | None = None,
 ) -> EstimateReport:
     """Evaluate one estimator at one threshold and assemble a report, with :func:`attached_ci`."""
-    value = _DISPATCH[_checked_id(estimator_id)](s, k)
+    value = evaluate(s, k, estimator_id)
     p = p_hat(s, k)
     interval = attached_ci(estimator_id, value, p, k, ci_level)
     return EstimateReport(
@@ -277,25 +239,17 @@ def estimate_report(
     )
 
 
-def _descending_log_spacings(s: SortedCensoredSample) -> np.ndarray:
-    # lam[j-1] = log(Z(n-j+1)/Z(n-j)), j = 1..n-1: the j-th log spacing from the top
-    zr = s.z[::-1]
-    return np.log(zr[:-1] / zr[1:])
-
-
 def _ratio_or_nan(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.full(num.shape, np.nan), where=den > 0)
 
 
-# Path kernels: one array pass per call over thresholds ks already checked
-# to lie in [min_valid_k, n-1].  Every value at k is read from full-length
-# prefix sums, so it does not depend on which other thresholds are asked for.
+# Path kernels, one per estimator: they read the sample's tail view at thresholds
+# ks already checked to lie in [min_valid_k, n-1], give NaN where the estimate
+# does not exist, and each value depends on its own k alone.
 
 
 def _hill_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
-    # the top k log excesses telescope: sum_i log(Z(n-i+1)/Z(n-k)) = sum_{j<=k} j*lam_j
-    j = np.arange(1, s.n)
-    return np.cumsum(j * _descending_log_spacings(s))[ks - 1] / ks
+    return s._hill_sums[ks - 1] / ks
 
 
 def _efg_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
@@ -303,39 +257,58 @@ def _efg_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
 
 
 def _ww1_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
-    surv = _km_survival(s)[::-1]  # surv[i] is the survival at Z(n-i)
-    return _ratio_or_nan(np.cumsum(surv[:-1] * _descending_log_spacings(s))[ks - 1], surv[ks])
+    surv = s._km_desc
+    return _ratio_or_nan(np.cumsum(surv[:-1] * s._log_spacings)[ks - 1], surv[ks])
 
 
 def _ww2_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     # each log excess over the threshold telescopes into spacings; swapping
     # the two sums weights lam_j by the running sum of the first j terms
-    surv = _km_survival(s)[::-1]
-    i = np.arange(1, s.n)
-    running = np.cumsum(surv[:-1] * s.delta[::-1][:-1] / i)
-    return _ratio_or_nan(np.cumsum(_descending_log_spacings(s) * running)[ks - 1], surv[ks])
+    surv = s._km_desc
+    running = np.cumsum(surv[:-1] * s.delta[::-1][:-1] / np.arange(1, s.n))
+    return _ratio_or_nan(np.cumsum(s._log_spacings * running)[ks - 1], surv[ks])
+
+
+def _new_terms(s: SortedCensoredSample, k: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights x/(S(i) + x), x = i/k, and log excesses log(Z(n-i)/Z(n-k)), i < k; ``ranks`` = 1.0, 2.0, ...
+
+    The log of the ratio, not a difference of logs, matches the tail curve's breakpoints bit for bit.
+    """
+    x = ranks[: k - 1] / k
+    zr = s._z_desc
+    return x / (s._top_float[: k - 1] + x), np.log(zr[1:k] / zr[k])
 
 
 def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
-    # not separable in k: one O(k) evaluation per k, on contiguous slices and
-    # with the arithmetic of new_weighted, so each value equals it bit for bit
-    zr = np.ascontiguousarray(s.z[::-1])
-    top = s.top_delta_prefix.astype(float)
-    i = np.arange(1.0, s.n)
+    # not separable in k: one O(k) evaluation per k
+    ranks = np.arange(1.0, ks.max())
     out = np.empty(ks.shape)
     for j, k in enumerate(ks.tolist()):
-        x = i[: k - 1] / k
-        out[j] = np.sum(x / (top[: k - 1] + x) * np.log(zr[1:k] / zr[k]))
+        weights, logs = _new_terms(s, k, ranks)
+        out[j] = np.sum(weights * logs)
     return out
 
 
+# estimator id -> (path kernel, smallest valid k, why the kernel can give NaN)
 _PATHS = {
-    "hill": _hill_path,
-    "efg": _efg_path,
-    "ww1": _ww1_path,
-    "ww2": _ww2_path,
-    "new": _new_path,
+    "hill": (_hill_path, 1, None),
+    "efg": (_efg_path, 1, "no uncensored observations among the top {k}"),
+    "ww1": (_ww1_path, 1, "product-limit survival vanishes at the threshold (k={k})"),
+    "ww2": (_ww2_path, 1, "product-limit survival vanishes at the threshold (k={k})"),
+    "new": (_new_path, 2, None),
 }
+
+ESTIMATOR_IDS = tuple(_PATHS)
+
+
+def _at(s: SortedCensoredSample, k: int, estimator_id: str) -> float:
+    """The path kernel read at one threshold; UndefinedEstimateError where it gives NaN."""
+    path, lo, undefined = _PATHS[estimator_id]
+    _check_k(k, s.n, lo)
+    value = float(path(s, np.array([k], dtype=np.int64))[0])
+    if math.isnan(value):
+        raise UndefinedEstimateError(undefined.format(k=k))
+    return value
 
 
 def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
@@ -347,15 +320,15 @@ def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     does not exist (e.g. ``efg`` with no uncensored top points) yield NaN
     rather than raising.
 
-    One call costs O(n) for ``hill``/``efg``/``ww1``/``ww2``, which are read
-    off prefix sums of the descending log spacings (agreeing with the
-    pointwise functions to rounding, about 1e-14 relative), and O(k) per
-    threshold for ``new``, O(n**2) over the full path, whose values equal
-    :func:`new_weighted` exactly.  Each value depends only on its own k,
-    not on the rest of ``ks``.
+    Each estimator has one kernel, and the pointwise functions are
+    single-k reads of it, so every value equals the pointwise one bit for
+    bit and depends only on its own k.  The kernels read the sample's tail
+    view, built once per sample: ``hill``/``efg``/``ww1``/``ww2`` come off
+    prefix sums of the descending log spacings (``hill``/``efg`` in
+    O(len(ks)) once the view is built, ``ww1``/``ww2`` in O(n) per call),
+    and ``new`` costs O(k) per threshold, O(n**2) over the full path.
     """
-    path = _PATHS[_checked_id(estimator_id)]
-    lo = _MIN_K[estimator_id]
+    path, lo, _ = _PATHS[_checked_id(estimator_id)]
     ks = np.asarray(ks)
     if ks.dtype.kind not in "iu":
         for k in ks.ravel().tolist():

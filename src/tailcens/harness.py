@@ -16,7 +16,7 @@ import numpy as np
 
 from .censored import _draw_sample
 from .distributions import HeavyTailModel, format_model
-from .estimators import _check_k, _checked_id, new_weighted, sweep
+from .estimators import _check_count, _check_k, _checked_id, new_weighted, sweep
 from .io import fmt
 from .parallel import replicate_map
 
@@ -57,10 +57,8 @@ class McConfig:
     complete_data: bool = False
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
+        _check_count(self.reps, 1, "reps")
+        _check_count(self.n, 3, "n")
         for k in self.k_grid:
             _check_k(k, self.n)
         for est in self.estimators:
@@ -119,6 +117,7 @@ def run_variance_check(
     replicates.  Meant for exact power-law pairs, where the limit variance
     has no bias contamination.
     """
+    _check_count(reps, 2, "reps")  # a sample variance needs two values
     gamma1 = model_x.true_evi
 
     def one(r: int) -> float:

@@ -136,18 +136,13 @@ def _cvm_from_curve(curve: TailProcessCurve, gamma: float, p: float) -> float:
     return float(curve.k * q / gamma * total)
 
 
-def _check_fit(gamma_hat: float, p: float) -> None:
-    if not (gamma_hat > 0 and p > 0):
-        raise ValueError(f"gamma_hat and p must be > 0, got gamma_hat={gamma_hat}, p={p}")
-
-
 def ks_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> float:
     """Scaled sup distance between the tail step function and the fitted tail.
 
     The supremum over x >= 1 of |curve(x) - x**(-1/gamma_hat)/p|, times
     sqrt(k), evaluated exactly piece by piece.
     """
-    _check_fit(gamma_hat, p)
+    estimators._check_fit(gamma_hat, p)
     return _ks_from_curve(delta_curve(s, k), gamma_hat, p)
 
 
@@ -159,7 +154,7 @@ def cvm_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> flo
     closed form per piece (the integrand expands into three elementary power
     terms on each constant piece, including the unbounded final one).
     """
-    _check_fit(gamma_hat, p)
+    estimators._check_fit(gamma_hat, p)
     return _cvm_from_curve(delta_curve(s, k), gamma_hat, p)
 
 
@@ -199,8 +194,8 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     proportion, and recomputes both statistics; the p-value is
     (1 + #{replicate >= observed}) / (reps + 1), so it is never exactly 0.
     """
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100 for a usable p-value, got {reps}")
+    estimators._check_count(reps, 100, "reps")  # fewer leave no usable p-value
+    estimators._check_k(k, s.n, lo=2)
     p = estimators.p_hat(s, k)
     if p == 0.0 or p == 1.0:
         raise DegenerateNullError(

@@ -14,18 +14,22 @@ from tailcens import (
     McConfig,
     Pareto,
     asymptotic_ci,
+    cvm_stat,
     delta_curve,
     generate_censored,
+    gof_pvalue,
+    ks_stat,
     read_censored_csv,
     read_raw_records,
     reiss_thomas_k,
+    run_variance_check,
     sort_censored,
     stream,
     sweep,
     write_censored_csv,
 )
 from tailcens.cli import main
-from tailcens.estimators import ESTIMATOR_IDS, _check_level, _checked_id
+from tailcens.estimators import ESTIMATOR_IDS, _check_count, _check_fit, _check_level, _checked_id
 from tailcens.parallel import _check_workers
 from tailcens.selection import _check_theta
 
@@ -290,3 +294,105 @@ class TestCsvRows:
         path = tmp_path / "f.csv"
         path.write_text("start,end,status\n 1990-01-01 ,1990-01-02, A \n")
         assert read_raw_records(path) == [(dt.date(1990, 1, 1), dt.date(1990, 1, 2), "A")]
+
+
+def _count_rule(lo, name):
+    return lambda value: _check_count(value, lo, name)
+
+
+class TestCountRule:
+    """Counts of replicates and sample sizes are integers with a lower end, like k."""
+
+    def test_message(self):
+        assert _message(_count_rule(100, "reps"), 100.5) == "reps must be an integer in [100, inf], got 100.5"
+
+    @pytest.mark.parametrize(
+        "field,value,lo",
+        [("reps", 2.5, 1), ("reps", True, 1), ("reps", 0, 1), ("reps", "3", 1), ("n", 50.5, 3), ("n", True, 3), ("n", 2, 3)],
+    )
+    def test_mc_config(self, field, value, lo):
+        with pytest.raises(ValueError) as exc:
+            small_config(**{field: value})
+        assert str(exc.value) == _message(_count_rule(lo, field), value)
+
+    def test_mc_config_numpy_integers_accepted(self):
+        cfg = small_config(n=np.int64(80), reps=np.int32(2))
+        assert cfg.n == 80 and cfg.reps == 2
+
+    @pytest.mark.parametrize("reps", [100.5, 99, True, 1e3])
+    def test_gof_reps(self, sample, reps):
+        with pytest.raises(ValueError) as exc:
+            gof_pvalue(sample, 10, reps=reps, seed=0)
+        assert str(exc.value) == _message(_count_rule(100, "reps"), reps)
+
+    @pytest.mark.parametrize("k", [1, 60, 2.5, True])
+    def test_gof_k(self, sample, k):
+        with pytest.raises(ValueError, match=r"k must be an integer in \[2, 59\]"):
+            gof_pvalue(sample, k, reps=100, seed=0)
+
+    @pytest.mark.parametrize("reps", [1, 2.5, True])
+    def test_variance_check_reps(self, reps):
+        with pytest.raises(ValueError) as exc:
+            run_variance_check(Pareto(1.0), Pareto(1.0), n=50, k=5, reps=reps, seed=0)
+        assert str(exc.value) == _message(_count_rule(2, "reps"), reps)
+
+
+_CLI_COUNTS = [
+    # (command and its other flags, flag, text given, lower end, name, value the rule sees)
+    (["gof", "--k", "3"], "--reps", "100.5", 100, "reps", "100.5"),
+    (["gof", "--k", "3"], "--reps", "99", 100, "reps", 99),
+    (["gof", "--reps", "100"], "--k", "1", 2, "k", 1),
+    (["gof", "--reps", "100"], "--k", "x", 2, "k", "x"),
+    (["select-k"], "--k-min", "1", 2, "k_min", 1),
+    (["select-k"], "--k-min", "2.5", 2, "k_min", "2.5"),
+    (["select-k"], "--k-max", "2", 3, "k_max", 2),
+]
+
+
+class TestCliCounts:
+    @pytest.mark.parametrize("head,flag,text,lo,name,value", _CLI_COUNTS)
+    def test_sample_commands(self, tiny5_csv, capsys, head, flag, text, lo, name, value):
+        with pytest.raises(SystemExit) as exc:
+            main(head[:1] + ["--input", str(tiny5_csv)] + head[1:] + [flag, text])
+        assert exc.value.code == 2
+        assert _message(_count_rule(lo, name), value) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,text,lo,name,value",
+        [("--n", "2", 3, "n", 2), ("--n", "50.5", 3, "n", "50.5"), ("--reps", "0", 1, "reps", 0), ("--reps", "1.5", 1, "reps", "1.5")],
+    )
+    def test_simulate(self, capsys, flag, text, lo, name, value):
+        with pytest.raises(SystemExit) as exc:
+            main(_SIMULATE + [flag, text])
+        assert exc.value.code == 2
+        assert _message(_count_rule(lo, name), value) in capsys.readouterr().err
+
+
+class TestFittedTailRule:
+    """asymptotic_ci and the fit statistics share one rule for (gamma, p)."""
+
+    BAD = [(0.5, "0.5"), ("0.5", 0.5), (True, 0.5), (0.5, True), (0.5, 1.5), (0.5, 0.0), (0.0, 0.5),
+           (-0.2, 0.5), (float("nan"), 0.5), (0.5, float("nan")), (None, 0.5)]
+
+    def test_message(self):
+        assert _message(lambda v: _check_fit(*v), (0.5, 1.5)) == (
+            "a fitted tail needs numbers gamma > 0 and p in (0, 1], got gamma=0.5, p=1.5"
+        )
+
+    @pytest.mark.parametrize("gamma,p", BAD)
+    def test_asymptotic_ci(self, gamma, p):
+        with pytest.raises(ValueError) as exc:
+            asymptotic_ci(gamma, p, 10, 0.9)
+        assert str(exc.value) == _message(lambda v: _check_fit(*v), (gamma, p))
+
+    @pytest.mark.parametrize("stat", [ks_stat, cvm_stat])
+    @pytest.mark.parametrize("gamma,p", BAD)
+    def test_fit_statistics(self, sample, stat, gamma, p):
+        with pytest.raises(ValueError) as exc:
+            stat(sample, 40, gamma, p)
+        assert str(exc.value) == _message(lambda v: _check_fit(*v), (gamma, p))
+
+    @pytest.mark.parametrize("gamma,p", [(0.5, 1.0), (np.float64(0.5), np.float64(0.3)), (2, 1)])
+    def test_accepted(self, sample, gamma, p):
+        assert asymptotic_ci(gamma, p, 10, 0.9)[0] > 0
+        assert ks_stat(sample, 40, gamma, p) >= 0 and cvm_stat(sample, 40, gamma, p) >= 0
