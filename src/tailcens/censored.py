@@ -15,6 +15,7 @@ import numpy as np
 
 from .distributions import HeavyTailModel
 from .rng import stream
+from .rules import _check_count
 
 __all__ = ["SortedCensoredSample", "sort_censored", "censor", "generate_censored"]
 
@@ -24,8 +25,51 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _TailView:
+    """The tail view the estimators read, along the last axis of ``z``.
+
+    A subclass holds ``z``, ``delta`` and ``top_delta_prefix``, ascending
+    along their last axis: one sample, or a block of replicate samples, one
+    per row.  The private ``_*`` properties are arrays indexed from the top
+    of each sample, each built on first use and cached, so an estimator pays
+    only for the pieces it reads.  Every piece is a prefix scan or an
+    elementwise map taken from the top, so a view of only the top ``m``
+    values gives the same bits as the whole sample at every k < m; the
+    exception is ``_km_desc``, whose product runs up from the bottom and
+    needs whole samples.
+    """
+
+    @property
+    def n(self) -> int:
+        """Length of the last axis: the sample size of a whole sample."""
+        return self.z.shape[-1]
+
+    @cached_property
+    def _z_desc(self) -> np.ndarray:  # Z(n-i) at index i, contiguous
+        return _read_only(np.ascontiguousarray(self.z[..., ::-1]))
+
+    @cached_property
+    def _top_float(self) -> np.ndarray:
+        return _read_only(self.top_delta_prefix.astype(float))
+
+    @cached_property
+    def _log_spacings(self) -> np.ndarray:  # lam_j = log(Z(n-j+1)/Z(n-j)) at index j-1
+        zr = self._z_desc
+        return _read_only(np.log(zr[..., :-1] / zr[..., 1:]))
+
+    @cached_property
+    def _hill_sums(self) -> np.ndarray:
+        # at index k-1, the top k log excesses over Z(n-k), telescoped: sum_{j<=k} j*lam_j
+        return _read_only(np.cumsum(np.arange(1, self.n) * self._log_spacings, axis=-1))
+
+    @cached_property
+    def _km_desc(self) -> np.ndarray:  # product-limit survival 1 - F at Z(n-i), at index i
+        factors = np.where(self.delta == 1, 1.0 - 1.0 / (self.n - np.arange(self.n, dtype=float)), 1.0)
+        return _read_only(np.cumprod(factors, axis=-1)[..., ::-1])
+
+
 @dataclass(frozen=True)
-class SortedCensoredSample:
+class SortedCensoredSample(_TailView):
     """Ascending observations with concomitant censoring indicators.
 
     Attributes
@@ -39,43 +83,39 @@ class SortedCensoredSample:
         the ``i`` largest, i.e. the running sum of ``delta`` taken from the
         top of the sample downward.
 
-    The private ``_*`` properties are the tail view the estimators read:
-    arrays indexed from the top of the sample, each built on first use and
-    cached, so an estimator pays only for the pieces it reads.  Instances
-    are immutable (all arrays, cached ones included, are read-only) and can
-    be shared freely across threads.
+    The estimators read the sample through the cached tail view of
+    ``_TailView``.  Instances are immutable (all arrays, cached ones
+    included, are read-only) and can be shared freely across threads.
     """
 
     z: np.ndarray
     delta: np.ndarray
     top_delta_prefix: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.z.size
 
-    @cached_property
-    def _z_desc(self) -> np.ndarray:  # Z(n-i) at index i, contiguous
-        return _read_only(np.ascontiguousarray(self.z[::-1]))
+@dataclass(frozen=True)
+class _SampleBlock(_TailView):
+    """Replicate samples as the rows of (rows, m) arrays, each row ordered as sort_censored orders a sample.
 
-    @cached_property
-    def _top_float(self) -> np.ndarray:
-        return _read_only(self.top_delta_prefix.astype(float))
+    A row holds a whole sample (m = n), or only its top m values, which
+    every estimator kernel but ``ww1``/``ww2`` reads exactly at k < m.
+    """
 
-    @cached_property
-    def _log_spacings(self) -> np.ndarray:  # lam_j = log(Z(n-j+1)/Z(n-j)) at index j-1
-        zr = self._z_desc
-        return _read_only(np.log(zr[:-1] / zr[1:]))
+    z: np.ndarray
+    delta: np.ndarray
+    top_delta_prefix: np.ndarray
 
-    @cached_property
-    def _hill_sums(self) -> np.ndarray:
-        # at index k-1, the top k log excesses over Z(n-k), telescoped: sum_{j<=k} j*lam_j
-        return _read_only(np.cumsum(np.arange(1, self.n) * self._log_spacings))
 
-    @cached_property
-    def _km_desc(self) -> np.ndarray:  # product-limit survival 1 - F at Z(n-i), at index i
-        factors = np.where(self.delta == 1, 1.0 - 1.0 / (self.n - np.arange(self.n, dtype=float)), 1.0)
-        return _read_only(np.cumprod(factors)[::-1])
+def _check_observations(z: np.ndarray) -> None:
+    if not np.all(np.isfinite(z)) or np.any(z <= 0):
+        raise ValueError("all observations must be finite and > 0")
+
+
+def _sorted(z: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending order along the last axis with deaths first on ties, and the top-down uncensored counts."""
+    order = np.lexsort((1 - delta, z), axis=-1)
+    z, delta = np.take_along_axis(z, order, -1), np.take_along_axis(delta, order, -1)
+    return z, delta, np.cumsum(delta[..., ::-1], axis=-1)
 
 
 def sort_censored(z, delta) -> SortedCensoredSample:
@@ -91,17 +131,11 @@ def sort_censored(z, delta) -> SortedCensoredSample:
         raise ValueError("sample must be nonempty")
     if z.size != delta.size:
         raise ValueError(f"z and delta lengths differ: {z.size} vs {delta.size}")
-    if not np.all(np.isfinite(z)) or np.any(z <= 0):
-        raise ValueError("all observations must be finite and > 0")
+    _check_observations(z)
     # checked before the integer cast, which would truncate e.g. 0.5 to 0
     if not np.all((delta == 0) | (delta == 1)):
         raise ValueError("censoring indicators must be 0 or 1")
-    delta = delta.astype(np.int64)
-    order = np.lexsort((1 - delta, z))
-    z_sorted = z[order]
-    delta_sorted = delta[order]
-    prefix = np.cumsum(delta_sorted[::-1])
-    return SortedCensoredSample(*map(_read_only, (z_sorted, delta_sorted, prefix)))
+    return SortedCensoredSample(*map(_read_only, _sorted(z, delta.astype(np.int64))))
 
 
 def censor(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -109,6 +143,15 @@ def censor(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.minimum(x, y), (x <= y).astype(np.int64)
+
+
+def _censored_rows(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """One row of ``n`` censored draws per generator in ``rngs``, each as generate_censored draws it."""
+    pairs = [rng.spawn(2) for rng in rngs]
+    x = np.stack([model_x.sample(n, rng_x) for rng_x, _ in pairs])
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise ValueError(f"{model_x!r} drew lifetimes outside (0, inf): its parameters are too extreme to simulate")
+    return censor(x, np.stack([model_y.sample(n, rng_y) for _, rng_y in pairs]))
 
 
 def generate_censored(
@@ -125,21 +168,51 @@ def generate_censored(
     ValueError naming ``model_x``; a censoring time that overflows to inf
     is kept, since it observes its lifetime.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng_x, rng_y = rng.spawn(2)
-    x = model_x.sample(n, rng_x)
-    if not np.all(np.isfinite(x) & (x > 0)):
-        raise ValueError(f"{model_x!r} drew lifetimes outside (0, inf): its parameters are too extreme to simulate")
-    y = model_y.sample(n, rng_y)
-    return censor(x, y)
+    _check_count(n, 1, "n")
+    z, delta = _censored_rows(model_x, model_y, n, [rng])
+    return z[0], delta[0]
 
 
-def _draw_sample(
-    model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: int, r: int, complete_data: bool = False
-) -> SortedCensoredSample:
-    """Replicate r's sample from stream (seed, r): all lifetimes observed, or censored."""
-    rng = stream(seed, r)
+# Replicates are drawn in blocks of at most this many values (rows * n), which
+# bounds a block's memory; each row keeps its own stream, so no output depends on it.
+_BLOCK_VALUES = 2**14
+
+
+def _blocks(n: int, reps: int) -> list[range]:
+    """Consecutive replicate index ranges of max(1, _BLOCK_VALUES // n) rows, covering 0..reps-1."""
+    rows = max(1, _BLOCK_VALUES // _check_count(n, 1, "n"))
+    return [range(lo, min(reps, lo + rows)) for lo in range(0, reps, rows)]
+
+
+def _top_sorted(z: np.ndarray, delta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top ``m`` of each row as ``_sorted`` orders the whole row, without sorting the rest."""
+    cut = z.shape[-1] - m
+    if cut > 0:
+        keep = np.argpartition(z, cut, axis=-1)[:, cut:]
+        top_z, top_d = np.take_along_axis(z, keep, -1), np.take_along_axis(delta, keep, -1)
+        # where the cut value ties a value left below it, deaths-first order
+        # decides which tied values are kept: such a row is sorted whole
+        tied = np.count_nonzero(z >= top_z.min(axis=-1, keepdims=True), axis=-1) > m
+        for i in np.flatnonzero(tied):
+            order = np.lexsort((1 - delta[i], z[i]))[cut:]
+            top_z[i], top_d[i] = z[i, order], delta[i, order]
+        z, delta = top_z, top_d
+    return _sorted(z, delta)
+
+
+def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: int, block: range,
+                complete_data: bool = False, top: int | None = None) -> _SampleBlock:
+    """Replicates ``block`` of size ``n`` as rows, row j drawn from stream (seed, block[j]) as a lone replicate is.
+
+    All lifetimes observed (drawn from the stream itself), or censored as
+    ``generate_censored`` censors; each row sorted whole, or cut to its
+    ``top`` largest values.
+    """
+    rngs = [stream(seed, r) for r in block]
     if complete_data:
-        return sort_censored(model_x.sample(n, rng), np.ones(n, dtype=np.int64))
-    return sort_censored(*generate_censored(model_x, model_y, n, rng))
+        z = np.stack([model_x.sample(n, rng) for rng in rngs])
+        delta = np.ones(z.shape, dtype=np.int64)
+    else:
+        z, delta = _censored_rows(model_x, model_y, n, rngs)
+    _check_observations(z)
+    return _SampleBlock(*(_sorted(z, delta) if top is None else _top_sorted(z, delta, top)))

@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .rng import uniform_open
+from .rules import _check_count
 
 __all__ = [
     "Burr",
@@ -86,8 +87,7 @@ class HeavyTailModel:
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` variates by inverse transform from ``rng``."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        _check_count(count, 1, "count")
         return np.asarray(self.quantile(uniform_open(rng, count)))
 
 
@@ -170,8 +170,7 @@ class LogGamma(HeavyTailModel):
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         # gamma variates of log X; the gamma quantile has no closed form
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        _check_count(count, 1, "count")
         return np.exp(rng.gamma(shape=self.a, scale=self.b, size=count))
 
 

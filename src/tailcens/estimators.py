@@ -28,7 +28,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .censored import SortedCensoredSample
+from .censored import SortedCensoredSample, _TailView
+from .rules import _check_count, _check_k
 
 __all__ = [
     "UndefinedEstimateError",
@@ -75,20 +76,6 @@ class EstimateReport:
     std_err: float | None = None
     ci: tuple[float, float] | None = None
     ci_level: float | None = None
-
-
-def _check_k(k, n, lo: int = 1, hi=None, name: str = "k"):
-    """Return ``k`` if it is an integer in [lo, hi] (hi defaults to n - 1); raise ValueError otherwise."""
-    hi = n - 1 if hi is None else hi
-    # bool is an int subclass, but True is a flag, not a threshold count
-    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and lo <= k <= hi):
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {k!r}")
-    return k
-
-
-def _check_count(value, lo: int, name: str):
-    """Return ``value`` if it is an integer >= lo: the k rule with no upper end."""
-    return _check_k(value, math.inf, lo, name=name)
 
 
 def _is_number(value) -> bool:
@@ -154,8 +141,10 @@ def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 
     """Weighted power-of-log functional generalizing :func:`new_weighted`.
 
     ``g`` is a nonnegative weight function on (0, 1) (``None`` means the
-    constant 1) and ``alpha`` a positive exponent.  The sum of weighted log
-    excesses is normalized by ``int_0^1 g(x) * (-log x)**alpha dx``; with
+    constant 1) and ``alpha`` a positive exponent; with ``g = None`` it is
+    at most 170.624, above which the normalizer Gamma(alpha + 1) overflows.
+    The sum of weighted log excesses is normalized by
+    ``int_0^1 g(x) * (-log x)**alpha dx``; with
     ``g = None`` and ``alpha = 1`` the normalizer is 1 and the value reduces
     exactly to :func:`new_weighted`.
     """
@@ -163,7 +152,10 @@ def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if g is None:
-        norm = math.gamma(alpha + 1.0)
+        try:
+            norm = math.gamma(alpha + 1.0)
+        except OverflowError:
+            raise ValueError(f"alpha must lie in (0, 170.624], where Gamma(alpha + 1) is finite, got {alpha}") from None
         gvals = 1.0
     else:
         from scipy import integrate  # imported on use: scipy is slow to load
@@ -243,49 +235,51 @@ def _ratio_or_nan(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.full(num.shape, np.nan), where=den > 0)
 
 
-# Path kernels, one per estimator: they read the sample's tail view at thresholds
-# ks already checked to lie in [min_valid_k, n-1], give NaN where the estimate
-# does not exist, and each value depends on its own k alone.
+# Path kernels, one per estimator: they read the tail view at thresholds ks
+# already checked to lie in [min_valid_k, n-1], give NaN where the estimate
+# does not exist, and each value depends on its own k alone.  They work along
+# the last axis, so the same code reads one sample, giving shape ks.shape, and
+# a block of replicate samples, giving one such row per sample.
 
 
-def _hill_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
-    return s._hill_sums[ks - 1] / ks
+def _hill_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
+    return s._hill_sums[..., ks - 1] / ks
 
 
-def _efg_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
-    return _ratio_or_nan(_hill_path(s, ks), s.top_delta_prefix[ks - 1] / ks)
+def _efg_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
+    return _ratio_or_nan(_hill_path(s, ks), s.top_delta_prefix[..., ks - 1] / ks)
 
 
-def _ww1_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
+def _ww1_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
     surv = s._km_desc
-    return _ratio_or_nan(np.cumsum(surv[:-1] * s._log_spacings)[ks - 1], surv[ks])
+    return _ratio_or_nan(np.cumsum(surv[..., :-1] * s._log_spacings, axis=-1)[..., ks - 1], surv[..., ks])
 
 
-def _ww2_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
+def _ww2_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
     # each log excess over the threshold telescopes into spacings; swapping
     # the two sums weights lam_j by the running sum of the first j terms
     surv = s._km_desc
-    running = np.cumsum(surv[:-1] * s.delta[::-1][:-1] / np.arange(1, s.n))
-    return _ratio_or_nan(np.cumsum(s._log_spacings * running)[ks - 1], surv[ks])
+    running = np.cumsum(surv[..., :-1] * s.delta[..., ::-1][..., :-1] / np.arange(1, s.n), axis=-1)
+    return _ratio_or_nan(np.cumsum(s._log_spacings * running, axis=-1)[..., ks - 1], surv[..., ks])
 
 
-def _new_terms(s: SortedCensoredSample, k: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _new_terms(s: _TailView, k: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights x/(S(i) + x), x = i/k, and log excesses log(Z(n-i)/Z(n-k)), i < k; ``ranks`` = 1.0, 2.0, ...
 
     The log of the ratio, not a difference of logs, matches the tail curve's breakpoints bit for bit.
     """
     x = ranks[: k - 1] / k
     zr = s._z_desc
-    return x / (s._top_float[: k - 1] + x), np.log(zr[1:k] / zr[k])
+    return x / (s._top_float[..., : k - 1] + x), np.log(zr[..., 1:k] / zr[..., k, None])
 
 
-def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
-    # not separable in k: one O(k) evaluation per k
+def _new_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
+    # not separable in k: one O(k) evaluation per k, over all rows of a block at once
     ranks = np.arange(1.0, ks.max())
-    out = np.empty(ks.shape)
+    out = np.empty(s.z.shape[:-1] + ks.shape)
     for j, k in enumerate(ks.tolist()):
         weights, logs = _new_terms(s, k, ranks)
-        out[j] = np.sum(weights * logs)
+        out[..., j] = np.sum(weights * logs, axis=-1)
     return out
 
 
@@ -328,14 +322,19 @@ def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     O(len(ks)) once the view is built, ``ww1``/``ww2`` in O(n) per call),
     and ``new`` costs O(k) per threshold, O(n**2) over the full path.
     """
-    path, lo, _ = _PATHS[_checked_id(estimator_id)]
+    return _sweep(s, _checked_id(estimator_id), ks)
+
+
+def _sweep(s: _TailView, estimator_id: str, ks) -> np.ndarray:
+    """:func:`sweep` on a checked id; on a block of replicate samples, one row of values per sample."""
+    path, lo, _ = _PATHS[estimator_id]
     ks = np.asarray(ks)
     if ks.dtype.kind not in "iu":
         for k in ks.ravel().tolist():
             _check_k(k, s.n, lo)  # raises at the first float or bool threshold
     ks = ks.astype(np.int64, copy=False)
-    out = np.full(ks.shape, np.nan)
+    out = np.full(s.z.shape[:-1] + ks.shape, np.nan)
     valid = (ks >= lo) & (ks <= s.n - 1)
     if valid.any():
-        out[valid] = path(s, ks[valid])
+        out[..., valid] = path(s, ks[valid])
     return out

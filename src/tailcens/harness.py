@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censored import _draw_sample
+from .censored import _blocks, _draw_block
 from .distributions import HeavyTailModel, format_model
-from .estimators import _check_count, _check_k, _checked_id, new_weighted, sweep
+from .estimators import _check_count, _check_k, _checked_id, _new_path, _sweep
 from .io import fmt
 from .parallel import replicate_map
 
@@ -80,15 +80,24 @@ class McResult:
     undefined_count: np.ndarray
 
 
-def _replicate_values(cfg: McConfig, r: int) -> np.ndarray:
-    s = _draw_sample(cfg.model_x, cfg.model_y, cfg.n, cfg.seed, r, cfg.complete_data)
-    return np.stack([sweep(s, est, cfg.k_grid) for est in cfg.estimators])
-
-
 def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
-    """Replicate the experiment and aggregate bias and RMSE per cell."""
+    """Replicate the experiment and aggregate bias and RMSE per cell.
+
+    Replicates run in blocks of max(1, 2**14 // n) rows.  A block's rows are
+    sorted whole at once (``ww1``/``ww2`` read the whole Kaplan-Meier
+    curve), and each estimator's sweep kernel reads all rows in one call,
+    with the arithmetic it applies to a lone sample.  Each row is drawn
+    from its own stream (seed, replicate), so neither the block size nor
+    ``workers`` changes any output bit.
+    """
     gamma1 = cfg.model_x.true_evi
-    cube = np.stack(replicate_map(lambda r: _replicate_values(cfg, r), cfg.reps, workers))
+    blocks = _blocks(cfg.n, cfg.reps)
+
+    def block_values(b: int) -> np.ndarray:  # (rows, estimators, k grid)
+        v = _draw_block(cfg.model_x, cfg.model_y, cfg.n, cfg.seed, blocks[b], cfg.complete_data)
+        return np.stack([_sweep(v, est, cfg.k_grid) for est in cfg.estimators], axis=1)
+
+    cube = np.concatenate(replicate_map(block_values, len(blocks), workers))
     defined = ~np.isnan(cube)
     undefined_count = cfg.reps - defined.sum(axis=0)
     with np.errstate(invalid="ignore"):
@@ -115,15 +124,20 @@ def run_variance_check(
     Returns ``(mean, scaled_var)`` where ``scaled_var`` is the sample
     variance (ddof 1) of sqrt(k) * (estimate - true index) across
     replicates.  Meant for exact power-law pairs, where the limit variance
-    has no bias contamination.
+    has no bias contamination.  Replicates run in blocks, as in
+    :func:`run_bias_rmse`, each row keeping only its top k+1 values, as in
+    ``gof_pvalue``.
     """
     _check_count(reps, 2, "reps")  # a sample variance needs two values
+    blocks = _blocks(n, reps)
+    _check_k(k, n, lo=2)
     gamma1 = model_x.true_evi
+    ks = np.array([k])
 
-    def one(r: int) -> float:
-        return new_weighted(_draw_sample(model_x, model_y, n, seed, r, complete_data), k)
+    def block_values(b: int) -> np.ndarray:
+        return _new_path(_draw_block(model_x, model_y, n, seed, blocks[b], complete_data, top=k + 1), ks)[:, 0]
 
-    values = np.asarray(replicate_map(one, reps, workers))
+    values = np.concatenate(replicate_map(block_values, len(blocks), workers))
     scaled = np.sqrt(k) * (values - gamma1)
     return float(values.mean()), float(scaled.var(ddof=1))
 

@@ -1,4 +1,4 @@
-"""Ordered map over replicate indices, run on the calling thread.
+"""Ordered map over replicate blocks, run on the calling thread.
 
 ``workers`` is checked but has no effect: threads only slowed replicates,
 whose small numpy steps serialize on the interpreter lock.
@@ -17,6 +17,14 @@ def _check_workers(workers) -> int:
 
 
 def replicate_map(fn, count: int, workers: int = 1) -> list:
-    """Apply ``fn`` to 0..count-1 in index order on the calling thread."""
+    """Apply ``fn`` to 0..count-1 in index order on the calling thread.
+
+    The replicate engines (``gof_pvalue``, ``run_bias_rmse``,
+    ``run_variance_check``) map over blocks: ``count`` is the number of
+    blocks of max(1, 2**14 // n) consecutive replicates, and ``fn(b)``
+    returns one result per replicate of block b, row by row, which the
+    caller concatenates in order.  Since every replicate draws from its own
+    stream (seed, replicate), the split into blocks changes no output.
+    """
     _check_workers(workers)
     return [fn(r) for r in range(count)]

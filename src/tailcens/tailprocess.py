@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .censored import SortedCensoredSample, _draw_sample
+from .censored import SortedCensoredSample, _blocks, _draw_block, _SampleBlock, _TailView
 from .distributions import Pareto
 from .parallel import replicate_map
 
@@ -71,16 +71,19 @@ class TailProcessCurve:
         return float(out) if np.ndim(out) == 0 else out
 
 
+def _atoms(s: _TailView, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (1/k) * m / (S(m) + m/k) and positions Z(n-m)/t of the atoms m = 1..k-1, along the last axis."""
+    m = np.arange(1, k)
+    zr = s._z_desc
+    return (m / (s.top_delta_prefix[..., : k - 1] + m / k)) / k, zr[..., 1:k] / zr[..., k, None]
+
+
 def delta_curve(s: SortedCensoredSample, k: int) -> TailProcessCurve:
     """Exact piecewise representation of the tail step function."""
-    n = s.n
-    estimators._check_k(k, n, lo=2)
-    m = np.arange(1, k)
-    # atom at Z(n-m) carries weight (1/k) * m / (S(m) + m/k)
-    weights = (m / (s.top_delta_prefix[: k - 1] + m / k)) / k
+    estimators._check_k(k, s.n, lo=2)
+    weights, positions = _atoms(s, k)
     # positions Z(n-m)/t never rise with m, so the atoms above the threshold
     # form a prefix (atoms tied with it never exceed x*t) and ties are adjacent
-    positions = s.z[n - k : n - 1][::-1] / s.z[n - k - 1]
     above = np.count_nonzero(positions > 1.0)
     positions = positions[:above]
     tie_end = np.ones(above, dtype=bool)  # the last atom of each tie group
@@ -91,7 +94,7 @@ def delta_curve(s: SortedCensoredSample, k: int) -> TailProcessCurve:
     levels[:-1] = np.cumsum(weights[:above])[last]
     for arr in (breakpoints, levels):
         arr.setflags(write=False)
-    return TailProcessCurve(breakpoints=breakpoints, levels=levels, k=int(k), n=n)
+    return TailProcessCurve(breakpoints=breakpoints, levels=levels, k=int(k), n=s.n)
 
 
 def integrate_delta(curve: TailProcessCurve) -> float:
@@ -110,30 +113,35 @@ def _fitted_tail(x, gamma: float, p: float):
     return x ** (-1.0 / gamma) / p
 
 
-def _ks_from_curve(curve: TailProcessCurve, gamma: float, p: float) -> float:
+# The two statistics score one curve, with scalar gamma and p, or a stack of
+# curves with the same number of breakpoints (2-D breakpoints and levels, one
+# curve per row), with gamma and p of shape (rows, 1): reductions run along
+# the last axis, so each row gets the bits it would get alone.
+
+
+def _ks_from_curve(curve: TailProcessCurve, gamma, p):
     bp, lv = curve.breakpoints, curve.levels
-    sup = abs(lv[0] - _fitted_tail(1.0, gamma, p))
-    if bp.size:
-        cb = _fitted_tail(bp, gamma, p)
-        # the comparison tail is continuous and decreasing, so each piece's
-        # extremes sit at its ends: check both one-sided limits per breakpoint
-        sup = max(sup, float(np.max(np.abs(lv[:-1] - cb))), float(np.max(np.abs(lv[1:] - cb))))
-    return float(np.sqrt(curve.k) * sup)
+    cb = _fitted_tail(bp, gamma, p)
+    # the comparison tail, 1/p at x = 1, is continuous and decreasing, so each
+    # piece's extremes sit at its ends: check both one-sided limits per breakpoint
+    gaps = np.concatenate([lv[..., :1] - 1.0 / p, lv[..., :-1] - cb, lv[..., 1:] - cb], axis=-1)
+    return np.sqrt(curve.k) * np.max(np.abs(gaps), axis=-1)
 
 
-def _cvm_from_curve(curve: TailProcessCurve, gamma: float, p: float) -> float:
+def _cvm_from_curve(curve: TailProcessCurve, gamma, p):
     c = 1.0 / gamma
     q = 1.0 / p
     bp, lv = curve.breakpoints, curve.levels
-    left = np.concatenate([[1.0], bp])
-    right = np.concatenate([bp, [np.inf]])
+    edge = np.ones(bp.shape[:-1] + (1,))
+    left = np.concatenate([edge, bp], axis=-1)
+    right = np.concatenate([bp, edge * np.inf], axis=-1)
 
     def power_integral(mult):  # int_a^b x**(-mult*c-1) dx, piecewise
         hi = np.where(np.isinf(right), 0.0, right ** (-mult * c))
         return (left ** (-mult * c) - hi) / (mult * c)
 
-    total = np.sum(lv * lv * power_integral(1.0) - 2.0 * lv * q * power_integral(2.0) + q * q * power_integral(3.0))
-    return float(curve.k * q / gamma * total)
+    terms = lv * lv * power_integral(1.0) - 2.0 * lv * q * power_integral(2.0) + q * q * power_integral(3.0)
+    return (curve.k * q / gamma * np.sum(terms, axis=-1, keepdims=True))[..., 0]
 
 
 def ks_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> float:
@@ -143,7 +151,7 @@ def ks_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> floa
     sqrt(k), evaluated exactly piece by piece.
     """
     estimators._check_fit(gamma_hat, p)
-    return _ks_from_curve(delta_curve(s, k), gamma_hat, p)
+    return float(_ks_from_curve(delta_curve(s, k), gamma_hat, p))
 
 
 def cvm_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> float:
@@ -155,12 +163,16 @@ def cvm_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> flo
     terms on each constant piece, including the unbounded final one).
     """
     estimators._check_fit(gamma_hat, p)
-    return _cvm_from_curve(delta_curve(s, k), gamma_hat, p)
+    return float(_cvm_from_curve(delta_curve(s, k), gamma_hat, p))
 
 
 @dataclass(frozen=True)
 class GofReport:
-    """Fit statistics with Monte Carlo p-values against the fitted null."""
+    """Fit statistics with Monte Carlo p-values against the fitted null.
+
+    ``degenerate`` counts the null replicates with nothing observed in
+    their top k (p_hat = 0), each scored (inf, inf) as maximal misfit.
+    """
 
     ks: float
     cvm: float
@@ -170,18 +182,37 @@ class GofReport:
     n: int
     reps: int
     seed: int
+    degenerate: int = 0
 
 
 GOF_CSV_HEADER = "ks,cvm,p_ks,p_cvm,k,n,reps,seed"
 
 
-def _fit_stats(s: SortedCensoredSample, k: int) -> tuple[float, float]:
-    """KS and CvM at k against the tail fitted by ``hill`` and ``p_hat``."""
-    gamma_hat, p = estimators.hill(s, k), estimators.p_hat(s, k)
-    if p == 0.0:
-        return np.inf, np.inf  # nothing observed in the top k: maximal misfit
-    curve = delta_curve(s, k)
-    return _ks_from_curve(curve, gamma_hat, p), _cvm_from_curve(curve, gamma_hat, p)
+def _fit_stats(v: _SampleBlock, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """KS, CvM and p_hat at k of each row of ``v``, against the tail fitted by ``hill`` and ``p_hat``.
+
+    A row with nothing observed in its top k scores (inf, inf), maximal
+    misfit.  A row whose curve has all k-1 breakpoints (every tie-free row)
+    is scored with the others as one stack of curves; a row with ties goes
+    through :func:`delta_curve` alone.
+    """
+    gamma = estimators._hill_path(v, np.array([k]))[:, 0]
+    p = v.top_delta_prefix[:, k - 1] / k
+    ks, cvm = np.full(p.shape, np.inf), np.full(p.shape, np.inf)
+    weights, positions = _atoms(v, k)
+    whole = (positions[:, -1] > 1.0) & np.all(positions[:, :-1] != positions[:, 1:], axis=-1)
+    stack = whole & (p > 0.0)
+    if stack.any():
+        levels = np.zeros((np.count_nonzero(stack), k))
+        levels[:, :-1] = np.cumsum(weights[stack], axis=-1)[:, ::-1]
+        curve = TailProcessCurve(np.ascontiguousarray(positions[stack, ::-1]), levels, int(k), v.n)
+        g, q = gamma[stack, None], p[stack, None]
+        ks[stack], cvm[stack] = _ks_from_curve(curve, g, q), _cvm_from_curve(curve, g, q)
+    for i in np.flatnonzero(~whole & (p > 0.0)):
+        curve = delta_curve(SortedCensoredSample(v.z[i], v.delta[i], v.top_delta_prefix[i]), k)
+        g, q = float(gamma[i]), float(p[i])
+        ks[i], cvm[i] = _ks_from_curve(curve, g, q), _cvm_from_curve(curve, g, q)
+    return ks, cvm, p
 
 
 def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: int = 1) -> GofReport:
@@ -193,6 +224,15 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     the same size from stream (seed, replicate), re-estimates the index and
     proportion, and recomputes both statistics; the p-value is
     (1 + #{replicate >= observed}) / (reps + 1), so it is never exactly 0.
+
+    Replicates run in blocks of max(1, 2**14 // n) rows.  Each row keeps
+    only its top k+1 values, all that the statistics read at k: a partial
+    partition picks them and a sort of those k+1 orders them as
+    ``sort_censored`` would; a row whose threshold value ties a value below
+    the cut is sorted whole instead.  Tie-free rows are scored together,
+    rows with ties one at a time.  Every row is drawn from its own stream
+    and scored with the arithmetic of a lone sample, so neither the block
+    size nor ``workers`` changes any output bit.
     """
     estimators._check_count(reps, 100, "reps")  # fewer leave no usable p-value
     estimators._check_k(k, s.n, lo=2)
@@ -204,19 +244,22 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     gamma1_hat = estimators.new_weighted(s, k)
     if not gamma1_hat > 0:
         raise DegenerateNullError(f"estimated index {gamma1_hat:g} admits no Pareto null")
-    ks_obs, cvm_obs = _fit_stats(s, k)
+    ks_obs, cvm_obs, _ = _fit_stats(_SampleBlock(s.z[None], s.delta[None], s.top_delta_prefix[None]), k)
     null_x = Pareto(gamma1_hat)
     null_y = Pareto(gamma1_hat * p / (1.0 - p))
-    pairs = replicate_map(lambda r: _fit_stats(_draw_sample(null_x, null_y, s.n, seed, r), k), reps, workers)
-    ks_count = sum(1 for a, _ in pairs if a >= ks_obs)
-    cvm_count = sum(1 for _, b in pairs if b >= cvm_obs)
+    blocks = _blocks(s.n, reps)
+    fits = replicate_map(
+        lambda b: _fit_stats(_draw_block(null_x, null_y, s.n, seed, blocks[b], top=k + 1), k), len(blocks), workers
+    )
+    ks_null, cvm_null, p_null = (np.concatenate(parts) for parts in zip(*fits))
     return GofReport(
-        ks=ks_obs,
-        cvm=cvm_obs,
-        p_value_ks=(1 + ks_count) / (reps + 1),
-        p_value_cvm=(1 + cvm_count) / (reps + 1),
+        ks=float(ks_obs[0]),
+        cvm=float(cvm_obs[0]),
+        p_value_ks=(1 + int(np.count_nonzero(ks_null >= ks_obs))) / (reps + 1),
+        p_value_cvm=(1 + int(np.count_nonzero(cvm_null >= cvm_obs))) / (reps + 1),
         k=int(k),
         n=s.n,
         reps=int(reps),
         seed=int(seed),
+        degenerate=int(np.count_nonzero(p_null == 0.0)),
     )

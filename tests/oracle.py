@@ -5,9 +5,16 @@ prefix sums (or, for ``new``, contiguous slices) of a cached tail view.
 These are the textbook formulas, built from the sorted arrays alone, that
 the kernels are checked against.  Each returns NaN where the estimator is
 undefined, as ``sweep`` does.
+
+The replicate references at the end run one Python-level pipeline per
+Monte Carlo replicate, built from the public one-sample functions; the
+block replicate engine behind ``gof_pvalue``, ``run_bias_rmse`` and
+``run_variance_check`` is checked against them bit for bit.
 """
 
 import numpy as np
+
+import tailcens as tc
 
 
 def km_survival(s):
@@ -61,3 +68,63 @@ def weighted_log_sum(s, k, gvals=1.0, alpha=1.0):
 
 
 ORACLES = {"hill": hill, "efg": efg, "ww1": ww1, "ww2": ww2, "new": weighted_log_sum}
+
+
+def draw(model_x, model_y, n, seed, r, complete_data=False):
+    """Replicate r's sorted sample, drawn alone from stream (seed, r)."""
+    rng = tc.stream(seed, r)
+    if complete_data:
+        return tc.sort_censored(model_x.sample(n, rng), np.ones(n, dtype=np.int64))
+    return tc.sort_censored(*tc.generate_censored(model_x, model_y, n, rng))
+
+
+def fit_stats(s, k):
+    """KS and CvM at k against the tail fitted by hill and p_hat; (inf, inf) when p_hat is 0."""
+    gamma, p = tc.hill(s, k), tc.p_hat(s, k)
+    if p == 0.0:
+        return np.inf, np.inf
+    return tc.ks_stat(s, k, gamma, p), tc.cvm_stat(s, k, gamma, p)
+
+
+def gof_report(s, k, reps, seed):
+    """GofReport fields of gof_pvalue, one null replicate at a time."""
+    p = tc.p_hat(s, k)
+    gamma1 = tc.new_weighted(s, k)
+    null_x, null_y = tc.Pareto(gamma1), tc.Pareto(gamma1 * p / (1.0 - p))
+    ks_obs, cvm_obs = fit_stats(s, k)
+    nulls = [draw(null_x, null_y, s.n, seed, r) for r in range(reps)]
+    pairs = [fit_stats(null, k) for null in nulls]
+    return dict(
+        ks=ks_obs,
+        cvm=cvm_obs,
+        p_value_ks=(1 + sum(1 for a, _ in pairs if a >= ks_obs)) / (reps + 1),
+        p_value_cvm=(1 + sum(1 for _, b in pairs if b >= cvm_obs)) / (reps + 1),
+        k=k,
+        n=s.n,
+        reps=reps,
+        seed=seed,
+        degenerate=sum(1 for null in nulls if tc.p_hat(null, k) == 0.0),
+    )
+
+
+def bias_rmse(cfg):
+    """(bias, rmse, undefined_count) of run_bias_rmse, one replicate at a time."""
+    cube = np.stack([
+        np.stack([tc.sweep(s, est, cfg.k_grid) for est in cfg.estimators])
+        for s in (draw(cfg.model_x, cfg.model_y, cfg.n, cfg.seed, r, cfg.complete_data) for r in range(cfg.reps))
+    ])
+    defined = ~np.isnan(cube)
+    counts = defined.sum(axis=0)
+    safe = np.maximum(counts, 1)
+    with np.errstate(invalid="ignore"):
+        err = cube - cfg.model_x.true_evi
+        bias = np.where(counts > 0, np.nansum(err, axis=0) / safe, np.nan)
+        rmse = np.where(counts > 0, np.sqrt(np.nansum(err * err, axis=0) / safe), np.nan)
+    return bias, rmse, cfg.reps - counts
+
+
+def variance_check(model_x, model_y, n, k, reps, seed, complete_data=False):
+    """(mean, scaled_var) of run_variance_check, one replicate at a time."""
+    values = np.asarray([tc.new_weighted(draw(model_x, model_y, n, seed, r, complete_data), k) for r in range(reps)])
+    scaled = np.sqrt(k) * (values - model_x.true_evi)
+    return float(values.mean()), float(scaled.var(ddof=1))

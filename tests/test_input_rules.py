@@ -11,6 +11,7 @@ import pytest
 
 from tailcens import (
     CsvFormatError,
+    LogGamma,
     McConfig,
     Pareto,
     asymptotic_ci,
@@ -26,6 +27,7 @@ from tailcens import (
     sort_censored,
     stream,
     sweep,
+    weighted_functional,
     write_censored_csv,
 )
 from tailcens.cli import main
@@ -396,3 +398,42 @@ class TestFittedTailRule:
     def test_accepted(self, sample, gamma, p):
         assert asymptotic_ci(gamma, p, 10, 0.9)[0] > 0
         assert ks_stat(sample, 40, gamma, p) >= 0 and cvm_stat(sample, 40, gamma, p) >= 0
+
+
+class TestSampleCounts:
+    """Sizes reaching the models' sample, generate_censored and the replicate engine follow the count rule."""
+
+    @pytest.mark.parametrize("model", [Pareto(1.0), LogGamma(2.0, 0.7)])
+    @pytest.mark.parametrize("count", [2.5, True, 0, np.float64(3.0)])
+    def test_model_sample(self, model, count):
+        with pytest.raises(ValueError) as exc:
+            model.sample(count, stream(0))
+        assert str(exc.value) == _message(_count_rule(1, "count"), count)
+
+    @pytest.mark.parametrize("n", [2.5, True, 0])
+    def test_generate_censored(self, n):
+        with pytest.raises(ValueError) as exc:
+            generate_censored(Pareto(1.0), Pareto(1.0), n, stream(0))
+        assert str(exc.value) == _message(_count_rule(1, "n"), n)
+
+    def test_variance_check_n(self):
+        with pytest.raises(ValueError) as exc:
+            run_variance_check(Pareto(1.0), Pareto(1.0), n=50.5, k=5, reps=2, seed=0)
+        assert str(exc.value) == _message(_count_rule(1, "n"), 50.5)
+
+    def test_numpy_integers_accepted(self):
+        assert Pareto(1.0).sample(np.int64(3), stream(0)).shape == (3,)
+        assert LogGamma(2.0, 0.7).sample(np.int32(3), stream(0)).shape == (3,)
+        assert generate_censored(Pareto(1.0), Pareto(1.0), np.int64(4), stream(0))[0].shape == (4,)
+
+
+class TestWeightedFunctionalAlpha:
+    """With g = None the normalizer Gamma(alpha + 1) must be finite."""
+
+    @pytest.mark.parametrize("alpha", [170.625, 200.0, 1e6])
+    def test_overflowing_normalizer_rejected(self, sample, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 170\.624\], where Gamma\(alpha \+ 1\) is finite"):
+            weighted_functional(sample, 40, alpha=alpha)
+
+    def test_upper_end_accepted(self, sample):
+        assert np.isfinite(weighted_functional(sample, 40, alpha=170.624))
