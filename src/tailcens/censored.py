@@ -1,4 +1,4 @@
-"""Right-censored samples: generation and ordering with concomitant flags.
+"""Right-censored samples: generation, ordering with concomitant flags, and replicate blocks.
 
 An observation is a pair ``(z, delta)`` where ``z`` is the observed minimum
 of a lifetime and an independent censoring time, and ``delta`` is 1 when the
@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import HeavyTailModel
+from .parallel import replicate_map
 from .rng import stream
 from .rules import _check_count
 
@@ -25,19 +26,33 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class _TailView:
-    """The tail view the estimators read, along the last axis of ``z``.
+@dataclass(frozen=True)
+class SortedCensoredSample:
+    """Ascending observations with concomitant censoring indicators.
 
-    A subclass holds ``z``, ``delta`` and ``top_delta_prefix``, ascending
-    along their last axis: one sample, or a block of replicate samples, one
-    per row.  The private ``_*`` properties are arrays indexed from the top
-    of each sample, each built on first use and cached, so an estimator pays
-    only for the pieces it reads.  Every piece is a prefix scan or an
-    elementwise map taken from the top, so a view of only the top ``m``
-    values gives the same bits as the whole sample at every k < m; the
-    exception is ``_km_desc``, whose product runs up from the bottom and
-    needs whole samples.
+    Attributes
+    ----------
+    z : ndarray
+        Observed minima, sorted ascending, all positive.
+    delta : ndarray
+        0/1 indicators aligned with ``z`` (1 = uncensored).
+    top_delta_prefix : ndarray
+        ``top_delta_prefix[i-1]`` counts the uncensored observations among
+        the ``i`` largest, i.e. the running sum of ``delta`` taken from the
+        top of the sample downward.
+
+    The arrays hold one sample, or a block of replicate samples with a
+    leading row axis.  The estimators read the private ``_*`` tail view:
+    arrays indexed from the top of each sample, each built on first use and
+    cached.  All arrays, cached ones included, are read-only.  Every piece
+    but ``_km_desc`` (a product from the bottom) is a prefix scan or map
+    taken from the top, so a row of only the top ``m`` values gives the
+    whole sample's bits at every k < m.
     """
+
+    z: np.ndarray
+    delta: np.ndarray
+    top_delta_prefix: np.ndarray
 
     @property
     def n(self) -> int:
@@ -66,44 +81,6 @@ class _TailView:
     def _km_desc(self) -> np.ndarray:  # product-limit survival 1 - F at Z(n-i), at index i
         factors = np.where(self.delta == 1, 1.0 - 1.0 / (self.n - np.arange(self.n, dtype=float)), 1.0)
         return _read_only(np.cumprod(factors, axis=-1)[..., ::-1])
-
-
-@dataclass(frozen=True)
-class SortedCensoredSample(_TailView):
-    """Ascending observations with concomitant censoring indicators.
-
-    Attributes
-    ----------
-    z : ndarray
-        Observed minima, sorted ascending, all positive.
-    delta : ndarray
-        0/1 indicators aligned with ``z`` (1 = uncensored).
-    top_delta_prefix : ndarray
-        ``top_delta_prefix[i-1]`` counts the uncensored observations among
-        the ``i`` largest, i.e. the running sum of ``delta`` taken from the
-        top of the sample downward.
-
-    The estimators read the sample through the cached tail view of
-    ``_TailView``.  Instances are immutable (all arrays, cached ones
-    included, are read-only) and can be shared freely across threads.
-    """
-
-    z: np.ndarray
-    delta: np.ndarray
-    top_delta_prefix: np.ndarray
-
-
-@dataclass(frozen=True)
-class _SampleBlock(_TailView):
-    """Replicate samples as the rows of (rows, m) arrays, each row ordered as sort_censored orders a sample.
-
-    A row holds a whole sample (m = n), or only its top m values, which
-    every estimator kernel but ``ww1``/``ww2`` reads exactly at k < m.
-    """
-
-    z: np.ndarray
-    delta: np.ndarray
-    top_delta_prefix: np.ndarray
 
 
 def _check_observations(z: np.ndarray) -> None:
@@ -173,8 +150,7 @@ def generate_censored(
     return z[0], delta[0]
 
 
-# Replicates are drawn in blocks of at most this many values (rows * n), which
-# bounds a block's memory; each row keeps its own stream, so no output depends on it.
+# a replicate block holds at most this many values (rows * n): see _replicates
 _BLOCK_VALUES = 2**14
 
 
@@ -201,7 +177,7 @@ def _top_sorted(z: np.ndarray, delta: np.ndarray, m: int) -> tuple[np.ndarray, n
 
 
 def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: int, block: range,
-                complete_data: bool = False, top: int | None = None) -> _SampleBlock:
+                complete_data: bool = False, top: int | None = None) -> SortedCensoredSample:
     """Replicates ``block`` of size ``n`` as rows, row j drawn from stream (seed, block[j]) as a lone replicate is.
 
     All lifetimes observed (drawn from the stream itself), or censored as
@@ -215,4 +191,22 @@ def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: 
     else:
         z, delta = _censored_rows(model_x, model_y, n, rngs)
     _check_observations(z)
-    return _SampleBlock(*(_sorted(z, delta) if top is None else _top_sorted(z, delta, top)))
+    return SortedCensoredSample(*map(_read_only, _sorted(z, delta) if top is None else _top_sorted(z, delta, top)))
+
+
+def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: int, seed: int, score,
+                workers: int, complete_data: bool = False, top: int | None = None) -> np.ndarray:
+    """``score`` of replicates 0..reps-1 of size ``n``, joined in replicate order: the one replicate loop.
+
+    Replicates run in blocks of max(1, _BLOCK_VALUES // n) consecutive
+    indices, mapped in order by ``replicate_map``.  Row j of a block is drawn
+    from its own stream (seed, r_j) as a lone replicate is, sorted whole or
+    cut to its ``top`` largest values (:func:`_draw_block`).  ``score`` maps
+    the block, a SortedCensoredSample with a leading row axis, to an array
+    with one leading entry per row, with the arithmetic of a lone sample.
+    So no output bit depends on the block size or ``workers``.
+    """
+    blocks = _blocks(n, reps)
+    return np.concatenate(replicate_map(
+        lambda b: score(_draw_block(model_x, model_y, n, seed, blocks[b], complete_data, top)), len(blocks), workers
+    ))

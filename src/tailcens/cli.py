@@ -75,7 +75,7 @@ def _open_out(path: str | None):
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    sub.add_argument("--seed", type=_count(0, "seed"), default=0, help="random seed, an integer >= 0 (default 0)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .rng import uniform_open
-from .rules import _check_count
+from .rules import _check_count, _is_number
 
 __all__ = [
     "Burr",
@@ -49,7 +49,7 @@ class ModelSpecError(ValueError):
 
 def _require_positive(**params) -> None:
     for name, value in params.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not (_is_number(value) and math.isfinite(value) and value > 0):
             raise ValueError(f"parameter {name} must be a finite positive number, got {value!r}")
 
 

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from statistics import NormalDist
 
 import numpy as np
 
-from .censored import SortedCensoredSample, _TailView
-from .rules import _check_count, _check_k
+from .censored import SortedCensoredSample
+from .rules import _check_count, _check_k, _is_number
 
 __all__ = [
     "UndefinedEstimateError",
@@ -76,10 +75,6 @@ class EstimateReport:
     std_err: float | None = None
     ci: tuple[float, float] | None = None
     ci_level: float | None = None
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _check_level(level):
@@ -149,8 +144,8 @@ def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 
     exactly to :func:`new_weighted`.
     """
     _check_k(k, s.n, lo=2)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not (_is_number(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a number > 0, got {alpha!r}")
     if g is None:
         try:
             norm = math.gamma(alpha + 1.0)
@@ -242,20 +237,20 @@ def _ratio_or_nan(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 # a block of replicate samples, giving one such row per sample.
 
 
-def _hill_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
+def _hill_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     return s._hill_sums[..., ks - 1] / ks
 
 
-def _efg_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
+def _efg_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     return _ratio_or_nan(_hill_path(s, ks), s.top_delta_prefix[..., ks - 1] / ks)
 
 
-def _ww1_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
+def _ww1_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     surv = s._km_desc
     return _ratio_or_nan(np.cumsum(surv[..., :-1] * s._log_spacings, axis=-1)[..., ks - 1], surv[..., ks])
 
 
-def _ww2_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
+def _ww2_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     # each log excess over the threshold telescopes into spacings; swapping
     # the two sums weights lam_j by the running sum of the first j terms
     surv = s._km_desc
@@ -263,7 +258,7 @@ def _ww2_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
     return _ratio_or_nan(np.cumsum(s._log_spacings * running, axis=-1)[..., ks - 1], surv[..., ks])
 
 
-def _new_terms(s: _TailView, k: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _new_terms(s: SortedCensoredSample, k: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights x/(S(i) + x), x = i/k, and log excesses log(Z(n-i)/Z(n-k)), i < k; ``ranks`` = 1.0, 2.0, ...
 
     The log of the ratio, not a difference of logs, matches the tail curve's breakpoints bit for bit.
@@ -273,7 +268,7 @@ def _new_terms(s: _TailView, k: int, ranks: np.ndarray) -> tuple[np.ndarray, np.
     return x / (s._top_float[..., : k - 1] + x), np.log(zr[..., 1:k] / zr[..., k, None])
 
 
-def _new_path(s: _TailView, ks: np.ndarray) -> np.ndarray:
+def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     # not separable in k: one O(k) evaluation per k, over all rows of a block at once
     ranks = np.arange(1.0, ks.max())
     out = np.empty(s.z.shape[:-1] + ks.shape)
@@ -325,7 +320,7 @@ def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     return _sweep(s, _checked_id(estimator_id), ks)
 
 
-def _sweep(s: _TailView, estimator_id: str, ks) -> np.ndarray:
+def _sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     """:func:`sweep` on a checked id; on a block of replicate samples, one row of values per sample."""
     path, lo, _ = _PATHS[estimator_id]
     ks = np.asarray(ks)

@@ -1,10 +1,10 @@
 """Seeded Monte Carlo experiments: bias/RMSE sweeps and variance checks.
 
-Replicate r draws its data from stream (seed, r), with lifetime and
-censoring sub-streams spawned per replicate, so results are bit-identical
-across runs and for any ``workers`` value.  Undefined estimator values (an
-estimator can fail at a given threshold on a given draw) are excluded from
-that cell's aggregation and counted instead.
+Replicates run through ``censored._replicates``: replicate r draws its data
+from stream (seed, r), so results are bit-identical across runs and for any
+``workers`` value.  Undefined estimator values (an estimator can fail at a
+given threshold on a given draw) are excluded from that cell's aggregation
+and counted instead.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censored import _blocks, _draw_block
+from .censored import _replicates
 from .distributions import HeavyTailModel, format_model
 from .estimators import _check_count, _check_k, _checked_id, _new_path, _sweep
 from .io import fmt
-from .parallel import replicate_map
 
 __all__ = [
     "McConfig",
@@ -59,6 +58,9 @@ class McConfig:
     def __post_init__(self):
         _check_count(self.reps, 1, "reps")
         _check_count(self.n, 3, "n")
+        _check_count(self.seed, 0, "seed")
+        if not isinstance(self.complete_data, bool):
+            raise ValueError(f"complete_data must be a bool, got {self.complete_data!r}")
         for k in self.k_grid:
             _check_k(k, self.n)
         for est in self.estimators:
@@ -83,21 +85,16 @@ class McResult:
 def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
     """Replicate the experiment and aggregate bias and RMSE per cell.
 
-    Replicates run in blocks of max(1, 2**14 // n) rows.  A block's rows are
-    sorted whole at once (``ww1``/``ww2`` read the whole Kaplan-Meier
-    curve), and each estimator's sweep kernel reads all rows in one call,
-    with the arithmetic it applies to a lone sample.  Each row is drawn
-    from its own stream (seed, replicate), so neither the block size nor
-    ``workers`` changes any output bit.
+    Replicates run through ``censored._replicates``.  A block's rows are
+    sorted whole (``ww1``/``ww2`` read the whole Kaplan-Meier curve), and
+    each estimator's sweep kernel reads all rows in one call.
     """
     gamma1 = cfg.model_x.true_evi
-    blocks = _blocks(cfg.n, cfg.reps)
 
-    def block_values(b: int) -> np.ndarray:  # (rows, estimators, k grid)
-        v = _draw_block(cfg.model_x, cfg.model_y, cfg.n, cfg.seed, blocks[b], cfg.complete_data)
+    def block_values(v) -> np.ndarray:  # (rows, estimators, k grid)
         return np.stack([_sweep(v, est, cfg.k_grid) for est in cfg.estimators], axis=1)
 
-    cube = np.concatenate(replicate_map(block_values, len(blocks), workers))
+    cube = _replicates(cfg.model_x, cfg.model_y, cfg.n, cfg.reps, cfg.seed, block_values, workers, cfg.complete_data)
     defined = ~np.isnan(cube)
     undefined_count = cfg.reps - defined.sum(axis=0)
     with np.errstate(invalid="ignore"):
@@ -124,20 +121,16 @@ def run_variance_check(
     Returns ``(mean, scaled_var)`` where ``scaled_var`` is the sample
     variance (ddof 1) of sqrt(k) * (estimate - true index) across
     replicates.  Meant for exact power-law pairs, where the limit variance
-    has no bias contamination.  Replicates run in blocks, as in
-    :func:`run_bias_rmse`, each row keeping only its top k+1 values, as in
-    ``gof_pvalue``.
+    has no bias contamination.  Replicates run through
+    ``censored._replicates``, each row keeping only its top k+1 values.
     """
     _check_count(reps, 2, "reps")  # a sample variance needs two values
-    blocks = _blocks(n, reps)
-    _check_k(k, n, lo=2)
+    _check_k(k, _check_count(n, 1, "n"), lo=2)
     gamma1 = model_x.true_evi
     ks = np.array([k])
-
-    def block_values(b: int) -> np.ndarray:
-        return _new_path(_draw_block(model_x, model_y, n, seed, blocks[b], complete_data, top=k + 1), ks)[:, 0]
-
-    values = np.concatenate(replicate_map(block_values, len(blocks), workers))
+    values = _replicates(
+        model_x, model_y, n, reps, seed, lambda v: _new_path(v, ks)[:, 0], workers, complete_data, top=k + 1
+    )
     scaled = np.sqrt(k) * (values - gamma1)
     return float(values.mean()), float(scaled.var(ddof=1))
 

@@ -19,12 +19,8 @@ def _check_workers(workers) -> int:
 def replicate_map(fn, count: int, workers: int = 1) -> list:
     """Apply ``fn`` to 0..count-1 in index order on the calling thread.
 
-    The replicate engines (``gof_pvalue``, ``run_bias_rmse``,
-    ``run_variance_check``) map over blocks: ``count`` is the number of
-    blocks of max(1, 2**14 // n) consecutive replicates, and ``fn(b)``
-    returns one result per replicate of block b, row by row, which the
-    caller concatenates in order.  Since every replicate draws from its own
-    stream (seed, replicate), the split into blocks changes no output.
+    ``censored._replicates`` maps it over replicate blocks; its docstring
+    holds the block contract.
     """
     _check_workers(workers)
     return [fn(r) for r in range(count)]

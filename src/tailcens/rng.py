@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .rules import _check_count
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Return an independent generator keyed by ``(seed, *key)``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in key))
+    """Return an independent generator keyed by ``(seed, *key)``; ``seed`` is an integer >= 0."""
+    ss = np.random.SeedSequence(entropy=int(_check_count(seed, 0, "seed")), spawn_key=tuple(int(p) for p in key))
     return np.random.Generator(np.random.Philox(ss))
 
 

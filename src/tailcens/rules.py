@@ -1,13 +1,20 @@
-"""The threshold and count rules, below every module that takes a k or a count.
+"""The threshold, count and number rules, below every module that checks them.
 
-``distributions``, ``censored`` and ``estimators`` all check their own
-arguments with these two functions, so a sample size, a replicate count and
-a threshold are rejected with the same message wherever they enter.
+``distributions``, ``censored``, ``estimators`` and ``selection`` all check
+their own arguments with these functions, so a sample size, a replicate
+count, a seed, a threshold or a model parameter is rejected with the same
+message wherever it enters.
 """
 
 import math
+from numbers import Real
 
 import numpy as np
+
+
+def _is_number(value) -> bool:
+    """A real number, not a bool: True is a flag, not a quantity."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _check_k(k, n, lo: int = 1, hi=None, name: str = "k"):

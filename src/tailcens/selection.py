@@ -18,19 +18,19 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .censored import SortedCensoredSample
 from .estimators import _check_k, min_valid_k, sweep
+from .rules import _is_number
 
 __all__ = ["KSelection", "reiss_thomas_k"]
 
 
 def _check_theta(theta):
     """Return ``theta`` if it is a number in [0, 0.5]; raise ValueError otherwise."""
-    if isinstance(theta, bool) or not (isinstance(theta, Real) and 0.0 <= theta <= 0.5):
+    if not (_is_number(theta) and 0.0 <= theta <= 0.5):
         raise ValueError(f"theta must be a number in [0, 0.5], got {theta!r}")
     return theta
 

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .censored import SortedCensoredSample, _blocks, _draw_block, _SampleBlock, _TailView
+from .censored import SortedCensoredSample, _replicates
 from .distributions import Pareto
-from .parallel import replicate_map
 
 __all__ = [
     "TailProcessCurve",
@@ -71,7 +70,7 @@ class TailProcessCurve:
         return float(out) if np.ndim(out) == 0 else out
 
 
-def _atoms(s: _TailView, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _atoms(s: SortedCensoredSample, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights (1/k) * m / (S(m) + m/k) and positions Z(n-m)/t of the atoms m = 1..k-1, along the last axis."""
     m = np.arange(1, k)
     zr = s._z_desc
@@ -188,8 +187,8 @@ class GofReport:
 GOF_CSV_HEADER = "ks,cvm,p_ks,p_cvm,k,n,reps,seed"
 
 
-def _fit_stats(v: _SampleBlock, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """KS, CvM and p_hat at k of each row of ``v``, against the tail fitted by ``hill`` and ``p_hat``.
+def _fit_stats(v: SortedCensoredSample, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """KS, CvM and p_hat at k of each row of the block ``v``, against the tail fitted by ``hill`` and ``p_hat``.
 
     A row with nothing observed in its top k scores (inf, inf), maximal
     misfit.  A row whose curve has all k-1 breakpoints (every tie-free row)
@@ -225,14 +224,11 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     proportion, and recomputes both statistics; the p-value is
     (1 + #{replicate >= observed}) / (reps + 1), so it is never exactly 0.
 
-    Replicates run in blocks of max(1, 2**14 // n) rows.  Each row keeps
-    only its top k+1 values, all that the statistics read at k: a partial
-    partition picks them and a sort of those k+1 orders them as
-    ``sort_censored`` would; a row whose threshold value ties a value below
-    the cut is sorted whole instead.  Tie-free rows are scored together,
-    rows with ties one at a time.  Every row is drawn from its own stream
-    and scored with the arithmetic of a lone sample, so neither the block
-    size nor ``workers`` changes any output bit.
+    Replicates run through ``censored._replicates``, whose docstring holds
+    the block contract.  Each null row keeps only its top k+1 values, all
+    that the statistics read at k; tie-free rows are scored together, rows
+    with ties one at a time.  A null index so small that a null replicate's
+    top k+1 values all tie (its ``hill`` is 0) raises DegenerateNullError.
     """
     estimators._check_count(reps, 100, "reps")  # fewer leave no usable p-value
     estimators._check_k(k, s.n, lo=2)
@@ -244,14 +240,17 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     gamma1_hat = estimators.new_weighted(s, k)
     if not gamma1_hat > 0:
         raise DegenerateNullError(f"estimated index {gamma1_hat:g} admits no Pareto null")
-    ks_obs, cvm_obs, _ = _fit_stats(_SampleBlock(s.z[None], s.delta[None], s.top_delta_prefix[None]), k)
+    ks_obs, cvm_obs, _ = _fit_stats(SortedCensoredSample(s.z[None], s.delta[None], s.top_delta_prefix[None]), k)
+
+    def score(v: SortedCensoredSample) -> np.ndarray:  # (rows, 3): ks, cvm, p_hat
+        if np.any((v._hill_sums[:, k - 1] == 0.0) & (v.top_delta_prefix[:, k - 1] > 0)):
+            raise DegenerateNullError(f"estimated index {gamma1_hat:g} is too small for a Pareto null: "
+                                      f"a null replicate's top {k + 1} values all tie")
+        return np.stack(_fit_stats(v, k), axis=-1)
+
     null_x = Pareto(gamma1_hat)
     null_y = Pareto(gamma1_hat * p / (1.0 - p))
-    blocks = _blocks(s.n, reps)
-    fits = replicate_map(
-        lambda b: _fit_stats(_draw_block(null_x, null_y, s.n, seed, blocks[b], top=k + 1), k), len(blocks), workers
-    )
-    ks_null, cvm_null, p_null = (np.concatenate(parts) for parts in zip(*fits))
+    ks_null, cvm_null, p_null = _replicates(null_x, null_y, s.n, reps, seed, score, workers, top=k + 1).T
     return GofReport(
         ks=float(ks_obs[0]),
         cvm=float(cvm_obs[0]),
