@@ -79,15 +79,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _row(est: str, k: int, value, p, std_err=None, ci_lo=None, ci_hi=None) -> str:
-    cells = [est, str(int(k)), io.fmt(value), io.fmt(p), io.fmt(std_err), io.fmt(ci_lo), io.fmt(ci_hi)]
-    return ",".join(cells)
-
-
 def _cmd_estimate(args) -> None:
     z, d = io.read_censored_csv(args.input)
     s = sort_censored(z, d)
-    lines = [ESTIMATE_CSV_HEADER]
+    lines = [ESTIMATE_CSV_HEADER + "\n"]
     for est in args.estimator:
         if args.all_k:
             ks = np.arange(estimators.min_valid_k(est), s.n)
@@ -96,13 +91,14 @@ def _cmd_estimate(args) -> None:
         else:
             ks = np.array([args.k])
             estimators.evaluate(s, args.k, est)  # raises, with its message, where k is out of range or undefined
-        values = estimators.sweep(s, est, ks)  # the kernels evaluate reads: the same bits
-        p_col = s.top_delta_prefix[ks - 1] / ks  # p_hat at every k at once
-        for k, value, p in zip(ks.tolist(), values, p_col.tolist()):
-            ci = estimators.attached_ci(est, value, p, k, args.ci) or ()
-            lines.append(_row(est, k, value, p, *ci))
+        values = estimators.sweep(s, est, ks).tolist()  # the kernels evaluate reads: the same bits
+        p_col = (s.top_delta_prefix[ks - 1] / ks).tolist()  # p_hat at every k at once
+        cells = zip(io.fmt_column(values), io.fmt_column(p_col))
+        for k, value, p, (value_cell, p_cell) in zip(ks.tolist(), values, p_col, cells):
+            ci = estimators.attached_ci(est, value, p, k, args.ci)
+            lines.append(f"{est},{k},{value_cell},{p_cell}," + (",".join(map(io.fmt, ci)) if ci else ",,") + "\n")
     with _open_out(args.out) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(lines)
 
 
 def _cmd_select_k(args) -> None:
@@ -115,8 +111,8 @@ def _cmd_select_k(args) -> None:
     if args.criterion_out:
         with open(args.criterion_out, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,criterion\n")
-            for k, value in zip(sel.k_grid, sel.criterion_values):
-                fh.write(f"{k},{io.fmt(value)}\n")
+            cells = io.fmt_column(sel.criterion_values.tolist())
+            fh.writelines(f"{k},{cell}\n" for k, cell in zip(sel.k_grid.tolist(), cells))
 
 
 def _cmd_gof(args) -> None:

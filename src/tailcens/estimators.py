@@ -150,7 +150,9 @@ def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 
         try:
             norm = math.gamma(alpha + 1.0)
         except OverflowError:
-            raise ValueError(f"alpha must lie in (0, 170.624], where Gamma(alpha + 1) is finite, got {alpha}") from None
+            norm = math.inf
+        if norm == math.inf:  # Gamma(inf) is inf, without an OverflowError
+            raise ValueError(f"alpha must lie in (0, 170.624], where Gamma(alpha + 1) is finite, got {alpha}")
         gvals = 1.0
     else:
         from scipy import integrate  # imported on use: scipy is slow to load
@@ -161,8 +163,7 @@ def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 
         if np.any(gvals < 0) or not np.all(np.isfinite(gvals)):
             raise ValueError("weight function must be finite and nonnegative on (0, 1)")
     # "* 1.0" and "** 1.0" are exact: g = None, alpha = 1 give the new kernel's bits
-    weights, logs = _new_terms(s, k, np.arange(1.0, k))
-    return float(np.sum(weights * gvals * logs**alpha)) / norm
+    return float(np.sum(_new_weights(s, k, np.arange(1.0, k)) * gvals * _new_logs(s, k) ** alpha)) / norm
 
 
 def asymptotic_ci(gamma1_hat: float, p: float, k: int, level: float = 0.95) -> tuple[float, float, float]:
@@ -258,23 +259,37 @@ def _ww2_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     return _ratio_or_nan(np.cumsum(s._log_spacings * running, axis=-1)[..., ks - 1], surv[..., ks])
 
 
-def _new_terms(s: SortedCensoredSample, k: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights x/(S(i) + x), x = i/k, and log excesses log(Z(n-i)/Z(n-k)), i < k; ``ranks`` = 1.0, 2.0, ...
-
-    The log of the ratio, not a difference of logs, matches the tail curve's breakpoints bit for bit.
-    """
+def _new_weights(s: SortedCensoredSample, k: int, ranks: np.ndarray) -> np.ndarray:
+    """Weights x/(S(i) + x), x = i/k, for i < k; ``ranks`` = 1.0, 2.0, ..."""
     x = ranks[: k - 1] / k
+    return x / (s._top_float[..., : k - 1] + x)
+
+
+def _new_logs(s: SortedCensoredSample, k: int) -> np.ndarray:
+    """Log excesses log(Z(n-i)/Z(n-k)), i < k: the log of the ratio matches the tail curve's breakpoints bit for bit."""
     zr = s._z_desc
-    return x / (s._top_float[..., : k - 1] + x), np.log(zr[..., 1:k] / zr[..., k, None])
+    return np.log(zr[..., 1:k] / zr[..., k, None])
 
 
 def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
-    # not separable in k: one O(k) evaluation per k, over all rows of a block at once
+    # not separable in k: O(k) weights per k, over all rows of a block at once.
+    # The log row depends on k only through the threshold value t, so it is
+    # recomputed only where t differs from the previous k's in some row.
+    # While t repeats, Z(n-i) = t for every i between the two ks (the rows
+    # are sorted), and those entries are log(t/t) = +0.0 exactly.
     ranks = np.arange(1.0, ks.max())
+    thresholds = s._z_desc[..., ks]
+    moved = np.any(thresholds[..., 1:] != thresholds[..., :-1], axis=tuple(range(thresholds.ndim - 1)))
+    logs = np.empty(s.z.shape[:-1] + ranks.shape)
+    filled = 0  # logs[..., :filled] hold the row of the current threshold value
     out = np.empty(s.z.shape[:-1] + ks.shape)
-    for j, k in enumerate(ks.tolist()):
-        weights, logs = _new_terms(s, k, ranks)
-        out[..., j] = np.sum(weights * logs, axis=-1)
+    for j, (k, fresh) in enumerate(zip(ks.tolist(), [True] + moved.tolist())):
+        if fresh:
+            logs[..., : k - 1] = _new_logs(s, k)
+        else:
+            logs[..., filled : k - 1] = 0.0  # an empty slice where k - 1 <= filled
+        filled = k - 1
+        out[..., j] = np.sum(_new_weights(s, k, ranks) * logs[..., : k - 1], axis=-1)
     return out
 
 
@@ -315,7 +330,9 @@ def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     view, built once per sample: ``hill``/``efg``/``ww1``/``ww2`` come off
     prefix sums of the descending log spacings (``hill``/``efg`` in
     O(len(ks)) once the view is built, ``ww1``/``ww2`` in O(n) per call),
-    and ``new`` costs O(k) per threshold, O(n**2) over the full path.
+    and ``new`` costs O(k) per threshold, O(n**2) over the full path.  Its
+    logs are taken anew only where the threshold value changes from the
+    previous threshold's, so tied data pay them once per run of ties.
     """
     return _sweep(s, _checked_id(estimator_id), ks)
 

@@ -18,6 +18,7 @@ from .censored import _replicates
 from .distributions import HeavyTailModel, format_model
 from .estimators import _check_count, _check_k, _checked_id, _new_path, _sweep
 from .io import fmt
+from .rules import _check_flag
 
 __all__ = [
     "McConfig",
@@ -59,8 +60,7 @@ class McConfig:
         _check_count(self.reps, 1, "reps")
         _check_count(self.n, 3, "n")
         _check_count(self.seed, 0, "seed")
-        if not isinstance(self.complete_data, bool):
-            raise ValueError(f"complete_data must be a bool, got {self.complete_data!r}")
+        _check_flag(self.complete_data, "complete_data")
         for k in self.k_grid:
             _check_k(k, self.n)
         for est in self.estimators:
@@ -125,6 +125,7 @@ def run_variance_check(
     ``censored._replicates``, each row keeping only its top k+1 values.
     """
     _check_count(reps, 2, "reps")  # a sample variance needs two values
+    _check_flag(complete_data, "complete_data")
     _check_k(k, _check_count(n, 1, "n"), lo=2)
     gamma1 = model_x.true_evi
     ks = np.array([k])

@@ -1,9 +1,9 @@
 """The threshold, count and number rules, below every module that checks them.
 
-``distributions``, ``censored``, ``estimators`` and ``selection`` all check
-their own arguments with these functions, so a sample size, a replicate
-count, a seed, a threshold or a model parameter is rejected with the same
-message wherever it enters.
+``distributions``, ``censored``, ``estimators``, ``selection`` and
+``harness`` all check their own arguments with these functions, so a sample
+size, a replicate count, a seed, a threshold, a model parameter or a flag is
+rejected with the same message wherever it enters.
 """
 
 import math
@@ -29,3 +29,10 @@ def _check_k(k, n, lo: int = 1, hi=None, name: str = "k"):
 def _check_count(value, lo: int, name: str):
     """Return ``value`` if it is an integer >= lo: the k rule with no upper end."""
     return _check_k(value, math.inf, lo, name=name)
+
+
+def _check_flag(value, name: str):
+    """Return ``value`` if it is a bool; raise ValueError otherwise: "no" and 1 are not flags."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return value

@@ -33,6 +33,7 @@ from tailcens import (
 from tailcens.cli import main
 from tailcens.estimators import ESTIMATOR_IDS, _check_count, _check_fit, _check_level, _checked_id
 from tailcens.parallel import _check_workers
+from tailcens.rules import _check_flag
 from tailcens.selection import _check_theta
 
 
@@ -437,3 +438,22 @@ class TestWeightedFunctionalAlpha:
 
     def test_upper_end_accepted(self, sample):
         assert np.isfinite(weighted_functional(sample, 40, alpha=170.624))
+
+
+class TestFlagRule:
+    """``complete_data`` is a bool wherever it enters, with one message."""
+
+    @pytest.mark.parametrize("flag", ["no", "", 1, 0, None, np.True_])
+    def test_mc_config_and_variance_check(self, flag):
+        want = _message(lambda v: _check_flag(v, "complete_data"), flag)
+        assert want == f"complete_data must be a bool, got {flag!r}"
+        assert _message(lambda v: small_config(complete_data=v), flag) == want
+        assert _message(lambda v: run_variance_check(Pareto(1.0), Pareto(1.0), 50, 5, 3, 0, complete_data=v), flag) == want
+
+
+class TestInfiniteAlpha:
+    """Gamma(inf) is inf without an OverflowError; the overflow rule still applies."""
+
+    def test_rejected(self, sample):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 170\.624\], where Gamma\(alpha \+ 1\) is finite"):
+            weighted_functional(sample, 10, alpha=float("inf"))
