@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import HeavyTailModel
 from .parallel import replicate_map
-from .rng import stream
+from .rng import _keyed, _keys
 from .rules import _check_count
 
 __all__ = ["SortedCensoredSample", "sort_censored", "censor", "generate_censored"]
@@ -122,13 +122,13 @@ def censor(x, y) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(x, y), (x <= y).astype(np.int64)
 
 
-def _censored_rows(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """One row of ``n`` censored draws per generator in ``rngs``, each as generate_censored draws it."""
-    pairs = [rng.spawn(2) for rng in rngs]
-    x = np.stack([model_x.sample(n, rng_x) for rng_x, _ in pairs])
+def _censored_rows(model_x: HeavyTailModel, model_y: HeavyTailModel, shape: tuple[int, int],
+                   rngs_x, rngs_y) -> tuple[np.ndarray, np.ndarray]:
+    """Censored draws of ``shape`` (rows, n): row i's lifetimes from the i-th of ``rngs_x``, censoring from ``rngs_y``."""
+    x = model_x._rows(np.empty(shape), rngs_x)
     if not np.all(np.isfinite(x) & (x > 0)):
         raise ValueError(f"{model_x!r} drew lifetimes outside (0, inf): its parameters are too extreme to simulate")
-    return censor(x, np.stack([model_y.sample(n, rng_y) for _, rng_y in pairs]))
+    return censor(x, model_y._rows(np.empty(shape), rngs_y))
 
 
 def generate_censored(
@@ -145,8 +145,8 @@ def generate_censored(
     ValueError naming ``model_x``; a censoring time that overflows to inf
     is kept, since it observes its lifetime.
     """
-    _check_count(n, 1, "n")
-    z, delta = _censored_rows(model_x, model_y, n, [rng])
+    rng_x, rng_y = rng.spawn(2)
+    z, delta = _censored_rows(model_x, model_y, (1, _check_count(n, 1, "n")), [rng_x], [rng_y])
     return z[0], delta[0]
 
 
@@ -176,20 +176,26 @@ def _top_sorted(z: np.ndarray, delta: np.ndarray, m: int) -> tuple[np.ndarray, n
     return _sorted(z, delta)
 
 
+def _stream_keys(seed: int, rows: range, complete_data: bool) -> list[np.ndarray]:
+    """Keys of the streams replicate r draws from: (seed, r) for complete data, else (seed, r, 0) and (seed, r, 1)."""
+    return [_keys(seed, rows, *tail) for tail in ([()] if complete_data else [(0,), (1,)])]
+
+
 def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: int, block: range,
-                complete_data: bool = False, top: int | None = None) -> SortedCensoredSample:
+                complete_data: bool = False, top: int | None = None, keys=None) -> SortedCensoredSample:
     """Replicates ``block`` of size ``n`` as rows, row j drawn from stream (seed, block[j]) as a lone replicate is.
 
     All lifetimes observed (drawn from the stream itself), or censored as
     ``generate_censored`` censors; each row sorted whole, or cut to its
-    ``top`` largest values.
+    ``top`` largest values.  ``keys``, the block's :func:`_stream_keys`, are
+    derived here when not given.
     """
-    rngs = [stream(seed, r) for r in block]
+    rngs = [_keyed(k) for k in (_stream_keys(seed, block, complete_data) if keys is None else keys)]
     if complete_data:
-        z = np.stack([model_x.sample(n, rng) for rng in rngs])
+        z = model_x._rows(np.empty((len(block), n)), rngs[0])
         delta = np.ones(z.shape, dtype=np.int64)
     else:
-        z, delta = _censored_rows(model_x, model_y, n, rngs)
+        z, delta = _censored_rows(model_x, model_y, (len(block), n), *rngs)
     _check_observations(z)
     return SortedCensoredSample(*map(_read_only, _sorted(z, delta) if top is None else _top_sorted(z, delta, top)))
 
@@ -199,14 +205,17 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
     """``score`` of replicates 0..reps-1 of size ``n``, joined in replicate order: the one replicate loop.
 
     Replicates run in blocks of max(1, _BLOCK_VALUES // n) consecutive
-    indices, mapped in order by ``replicate_map``.  Row j of a block is drawn
-    from its own stream (seed, r_j) as a lone replicate is, sorted whole or
-    cut to its ``top`` largest values (:func:`_draw_block`).  ``score`` maps
-    the block, a SortedCensoredSample with a leading row axis, to an array
-    with one leading entry per row, with the arithmetic of a lone sample.
-    So no output bit depends on the block size or ``workers``.
+    indices, mapped in order by ``replicate_map``.  Row j of a block is
+    replicate r_j as a lone replicate draws it, its lifetimes from stream
+    (seed, r_j, 0) and its censoring times from (seed, r_j, 1), or all from
+    (seed, r_j) for complete data; the keys of all reps rows are derived
+    once, in bulk.  Rows are sorted whole or cut to their ``top`` largest
+    values (:func:`_draw_block`).  ``score`` maps the block, a
+    SortedCensoredSample with a leading row axis, to an array with one
+    leading entry per row, with the arithmetic of a lone sample.  So no
+    output bit depends on the block size or ``workers``.
     """
-    blocks = _blocks(n, reps)
-    return np.concatenate(replicate_map(
-        lambda b: score(_draw_block(model_x, model_y, n, seed, blocks[b], complete_data, top)), len(blocks), workers
-    ))
+    blocks, keys = _blocks(n, reps), _stream_keys(seed, range(reps), complete_data)
+    return np.concatenate(replicate_map(lambda b: score(
+        _draw_block(model_x, model_y, n, seed, blocks[b], complete_data, top, [k[blocks[b]] for k in keys])
+    ), len(blocks), workers))

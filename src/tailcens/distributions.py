@@ -26,7 +26,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rng import uniform_open
 from .rules import _check_count, _is_number
 
 __all__ = [
@@ -86,9 +85,15 @@ class HeavyTailModel:
         raise NotImplementedError
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` variates by inverse transform from ``rng``."""
-        _check_count(count, 1, "count")
-        return np.asarray(self.quantile(uniform_open(rng, count)))
+        """Draw ``count`` variates from ``rng``: one row of :meth:`_rows`."""
+        return self._rows(np.empty((1, _check_count(count, 1, "count"))), [rng])[0]
+
+    def _rows(self, out: np.ndarray, rngs) -> np.ndarray:
+        """Fill row i of ``out`` from the i-th generator of ``rngs`` and return its variates: the one draw path."""
+        for row, rng in zip(out, rngs):
+            row[:] = rng.random(row.size)
+        out[out == 0.0] = 0.5 / (1 << 53)  # random() covers [0, 1): nudge an exact 0 into the interior
+        return np.asarray(self.quantile(out))  # by inverse transform, once per block
 
 
 @dataclass(frozen=True)
@@ -168,10 +173,13 @@ class LogGamma(HeavyTailModel):
     def true_evi(self) -> float:
         return self.b
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        # gamma variates of log X; the gamma quantile has no closed form
-        _check_count(count, 1, "count")
-        return np.exp(rng.gamma(shape=self.a, scale=self.b, size=count))
+    sample = HeavyTailModel.sample  # in the class's own namespace: bench/inproc.py wraps it there
+
+    def _rows(self, out: np.ndarray, rngs) -> np.ndarray:
+        # gamma variates of log X, row by row; the gamma quantile has no closed form
+        for row, rng in zip(out, rngs):
+            row[:] = rng.gamma(shape=self.a, scale=self.b, size=row.size)
+        return np.exp(out)
 
 
 @dataclass(frozen=True)
