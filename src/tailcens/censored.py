@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import HeavyTailModel
-from .parallel import replicate_map
-from .rng import _keyed, _keys
+from . import parallel, rng  # lazy: only the replicate engine runs them
 from .rules import _check_count
+
+if TYPE_CHECKING:
+    from .distributions import HeavyTailModel
 
 __all__ = ["SortedCensoredSample", "sort_censored", "censor", "generate_censored"]
 
@@ -178,7 +180,7 @@ def _top_sorted(z: np.ndarray, delta: np.ndarray, m: int) -> tuple[np.ndarray, n
 
 def _stream_keys(seed: int, rows: range, complete_data: bool) -> list[np.ndarray]:
     """Keys of the streams replicate r draws from: (seed, r) for complete data, else (seed, r, 0) and (seed, r, 1)."""
-    return [_keys(seed, rows, *tail) for tail in ([()] if complete_data else [(0,), (1,)])]
+    return [rng._keys(seed, rows, *tail) for tail in ([()] if complete_data else [(0,), (1,)])]
 
 
 def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: int, block: range,
@@ -190,7 +192,7 @@ def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: 
     ``top`` largest values.  ``keys``, the block's :func:`_stream_keys`, are
     derived here when not given.
     """
-    rngs = [_keyed(k) for k in (_stream_keys(seed, block, complete_data) if keys is None else keys)]
+    rngs = [rng._keyed(k) for k in (_stream_keys(seed, block, complete_data) if keys is None else keys)]
     if complete_data:
         z = model_x._rows(np.empty((len(block), n)), rngs[0])
         delta = np.ones(z.shape, dtype=np.int64)
@@ -216,6 +218,6 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
     output bit depends on the block size or ``workers``.
     """
     blocks, keys = _blocks(n, reps), _stream_keys(seed, range(reps), complete_data)
-    return np.concatenate(replicate_map(lambda b: score(
+    return np.concatenate(parallel.replicate_map(lambda b: score(
         _draw_block(model_x, model_y, n, seed, blocks[b], complete_data, top, [k[blocks[b]] for k in keys])
     ), len(blocks), workers))

@@ -13,15 +13,8 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
-from . import estimators, io
-from .censored import sort_censored
-from .distributions import parse_model
-from .harness import McConfig, default_k_grid, run_bias_rmse, write_meta, write_result_csv
-from .parallel import _check_workers
-from .selection import _check_theta, reiss_thomas_k
-from .tailprocess import GOF_CSV_HEADER, gof_pvalue
+# lazy module objects: each runs when a command first uses it, so --help loads no numpy
+from . import censored, distributions, estimators, harness, io, parallel, rules, selection, tailprocess
 
 ESTIMATE_CSV_HEADER = "estimator,k,value,p_hat,std_err,ci_lo,ci_hi"
 SELECT_CSV_HEADER = "k_star,theta,estimator"
@@ -37,7 +30,11 @@ def _parsed(parse, text: str):
 
 
 def _rule(check, parse=str):
-    """argparse type applying the library rule ``check`` to the parsed text; its ValueError exits 2."""
+    """argparse type applying the library rule ``check`` to the parsed text; its ValueError exits 2.
+
+    Callers pass ``check`` as a lambda that looks the rule up when the flag is parsed, so building the
+    parser runs no library module.
+    """
 
     def convert(text: str):
         try:
@@ -50,12 +47,12 @@ def _rule(check, parse=str):
 
 def _count(lo: int, name: str):
     """argparse type for an integer flag >= lo, checked by the library's count rule."""
-    return _rule(lambda v: estimators._check_count(v, lo, name), int)
+    return _rule(lambda v: rules._check_count(v, lo, name), int)
 
 
 def _k_grid(text: str) -> tuple[int, ...]:
     # no sample yet: only the lower end of the threshold range applies
-    return tuple(estimators._check_count(_parsed(int, part), 1, "k") for part in text.split(","))
+    return tuple(rules._check_count(_parsed(int, part), 1, "k") for part in text.split(","))
 
 
 def _estimator_ids(text: str) -> tuple[str, ...]:
@@ -80,14 +77,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_estimate(args) -> None:
+    import numpy as np
+
     z, d = io.read_censored_csv(args.input)
-    s = sort_censored(z, d)
+    s = censored.sort_censored(z, d)
     lines = [ESTIMATE_CSV_HEADER + "\n"]
     for est in args.estimator:
         if args.all_k:
             ks = np.arange(estimators.min_valid_k(est), s.n)
         elif args.k == "auto":
-            ks = np.array([reiss_thomas_k(s, est, theta=args.theta).k_star])
+            ks = np.array([selection.reiss_thomas_k(s, est, theta=args.theta).k_star])
         else:
             ks = np.array([args.k])
             estimators.evaluate(s, args.k, est)  # raises, with its message, where k is out of range or undefined
@@ -103,8 +102,8 @@ def _cmd_estimate(args) -> None:
 
 def _cmd_select_k(args) -> None:
     z, d = io.read_censored_csv(args.input)
-    s = sort_censored(z, d)
-    sel = reiss_thomas_k(s, args.estimator, theta=args.theta, k_min=args.k_min, k_max=args.k_max)
+    s = censored.sort_censored(z, d)
+    sel = selection.reiss_thomas_k(s, args.estimator, theta=args.theta, k_min=args.k_min, k_max=args.k_max)
     with _open_out(args.out) as fh:
         fh.write(SELECT_CSV_HEADER + "\n")
         fh.write(f"{sel.k_star},{io.fmt(sel.theta)},{sel.estimator_id}\n")
@@ -117,10 +116,10 @@ def _cmd_select_k(args) -> None:
 
 def _cmd_gof(args) -> None:
     z, d = io.read_censored_csv(args.input)
-    s = sort_censored(z, d)
-    report = gof_pvalue(s, args.k, reps=args.reps, seed=args.seed, workers=args.workers)
+    s = censored.sort_censored(z, d)
+    report = tailprocess.gof_pvalue(s, args.k, reps=args.reps, seed=args.seed, workers=args.workers)
     with _open_out(args.out) as fh:
-        fh.write(GOF_CSV_HEADER + "\n")
+        fh.write(tailprocess.GOF_CSV_HEADER + "\n")
         fh.write(
             f"{io.fmt(report.ks)},{io.fmt(report.cvm)},{io.fmt(report.p_value_ks)},"
             f"{io.fmt(report.p_value_cvm)},{report.k},{report.n},{report.reps},{report.seed}\n"
@@ -128,8 +127,8 @@ def _cmd_gof(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    k_grid = args.k_grid if args.k_grid is not None else default_k_grid(args.n)
-    cfg = McConfig(
+    k_grid = args.k_grid if args.k_grid is not None else harness.default_k_grid(args.n)
+    cfg = harness.McConfig(
         model_x=args.model,
         model_y=args.censor,
         n=args.n,
@@ -139,12 +138,12 @@ def _cmd_simulate(args) -> None:
         seed=args.seed,
         complete_data=args.complete,
     )
-    result = run_bias_rmse(cfg, workers=args.workers)
+    result = harness.run_bias_rmse(cfg, workers=args.workers)
     with _open_out(args.out) as fh:
-        write_result_csv(result, fh)
+        harness.write_result_csv(result, fh)
     if args.out and args.out != "-":
         with open(args.out + ".meta", "w", encoding="utf-8", newline="") as fh:
-            write_meta(cfg, fh)
+            harness.write_meta(cfg, fh)
 
 
 def _cmd_convert(args) -> None:
@@ -160,13 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extreme value index estimation for randomly right-censored heavy-tailed data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    theta, workers = _rule(_check_theta, float), _rule(_check_workers, int)
-    estimator_ids, model = _rule(_estimator_ids), _rule(parse_model)
+    theta = _rule(lambda v: selection._check_theta(v), float)
+    workers = _rule(lambda v: parallel._check_workers(v), int)
+    estimator_ids, model = _rule(_estimator_ids), _rule(lambda v: distributions.parse_model(v))
 
     p_est = sub.add_parser("estimate", help="estimate the tail index from a z,delta CSV")
     p_est.add_argument("--input", required=True, help="censored sample CSV (header z,delta)")
     p_est.add_argument(
-        "--k", type=_rule(lambda v: v if v == "auto" else estimators._check_count(v, 1, "k"), int), default="auto",
+        "--k", type=_rule(lambda v: v if v == "auto" else rules._check_count(v, 1, "k"), int), default="auto",
         help="threshold count, or 'auto' (default)",
     )
     p_est.add_argument(
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated ids among hill|efg|ww1|ww2|new (default new)",
     )
     p_est.add_argument(
-        "--ci", type=_rule(estimators._check_level, float), default=None,
+        "--ci", type=_rule(lambda v: estimators._check_level(v), float), default=None,
         help="confidence level for the new estimator",
     )
     p_est.add_argument("--all-k", action="store_true", help="emit one row per valid k instead of a single k")
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select-k", help="adaptive threshold choice")
     p_sel.add_argument("--input", required=True, help="censored sample CSV (header z,delta)")
     p_sel.add_argument(
-        "--estimator", type=_rule(estimators._checked_id), default="new",
+        "--estimator", type=_rule(lambda v: estimators._checked_id(v)), default="new",
         help="one of hill|efg|ww1|ww2|new (default new)",
     )
     p_sel.add_argument("--theta", type=theta, default=0.3, help="stability exponent (default 0.3)")

@@ -23,32 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .censored import SortedCensoredSample
 from .rules import _check_count, _check_k, _is_number
 
+if TYPE_CHECKING:
+    from .censored import SortedCensoredSample
+
 __all__ = [
-    "UndefinedEstimateError",
-    "EstimateReport",
-    "KaplanMeierCurve",
-    "ESTIMATOR_IDS",
-    "hill",
-    "p_hat",
-    "efg",
-    "kaplan_meier",
-    "ww1",
-    "ww2",
-    "new_weighted",
-    "weighted_functional",
-    "asymptotic_ci",
-    "attached_ci",
-    "estimate_report",
-    "evaluate",
-    "sweep",
-    "min_valid_k",
+    "UndefinedEstimateError", "EstimateReport", "KaplanMeierCurve", "ESTIMATOR_IDS", "hill", "p_hat", "efg",
+    "kaplan_meier", "ww1", "ww2", "new_weighted", "weighted_functional", "asymptotic_ci", "attached_ci",
+    "estimate_report", "evaluate", "sweep", "min_valid_k",
 ]
 
 
@@ -176,6 +163,8 @@ def asymptotic_ci(gamma1_hat: float, p: float, k: int, level: float = 0.95) -> t
     _check_fit(gamma1_hat, p)
     _check_count(k, 1, "k")
     _check_level(level)
+    from statistics import NormalDist  # imported on use: only intervals need it
+
     std_err = float(gamma1_hat * np.sqrt((9.0 - 8.0 * p) / p) / np.sqrt(k))
     zq = NormalDist().inv_cdf(0.5 * (1.0 + level))
     return std_err, max(0.0, gamma1_hat - zq * std_err), gamma1_hat + zq * std_err

@@ -1,10 +1,11 @@
 """Seeded Monte Carlo experiments: bias/RMSE sweeps and variance checks.
 
-Replicates run through ``censored._replicates``: replicate r draws its data
-from stream (seed, r), so results are bit-identical across runs and for any
-``workers`` value.  Undefined estimator values (an estimator can fail at a
-given threshold on a given draw) are excluded from that cell's aggregation
-and counted instead.
+Replicates run through ``censored._replicates``: replicate r draws its
+lifetimes from stream (seed, r, 0) and its censoring times from stream
+(seed, r, 1), or all its data from stream (seed, r) for complete data, so
+results are bit-identical across runs and for any ``workers`` value.
+Undefined estimator values (an estimator can fail at a given threshold on a
+given draw) are excluded from that cell's aggregation and counted instead.
 """
 
 from __future__ import annotations

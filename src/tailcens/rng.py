@@ -18,6 +18,8 @@ import numpy as np
 
 from .rules import _check_count
 
+__all__ = ["stream"]
+
 _MASK = 0xFFFFFFFF
 
 
@@ -42,33 +44,38 @@ def _keys(seed: int, rows: range, *tail: int) -> np.ndarray:
     for part in (*rows[:1], *rows[-1:], *tail):  # a range's ends bound all of it
         _check_count(part, 0, "key")
     seed_words = _words(int(_check_count(seed, 0, "seed")), 4)  # padded to the pool size before a spawn key
+    tail_words = [w for part in tail for w in _words(int(part))]
     r = np.arange(rows.start, rows.stop, rows.step, dtype=np.uint64)
     keys = np.empty((r.size, 2), np.uint64)
     for count, group in enumerate((r <= _MASK, r > _MASK), 1):
         if group.any():
-            words = seed_words + [r[group] & _MASK, r[group] >> 32][:count] + [w for p in tail for w in _words(int(p))]
-            keys[group] = _seeded_key([np.asarray(w, np.uint32).reshape(-1) for w in words])
+            words = seed_words[4:] + [r[group] & _MASK, r[group] >> 32][:count] + tail_words
+            keys[group] = _seeded_key(seed_words[:4], [np.asarray(w, np.uint32).reshape(-1) for w in words])
     return keys
 
 
-def _seeded_key(entropy: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence's pool mix and ``generate_state(2, np.uint64)`` over uint32 entropy columns."""
+def _seeded_key(pool_words: list[int], entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence's pool mix and ``generate_state(2, np.uint64)``: four pool words, then uint32 entropy columns.
+
+    The steps that read only the pool words, the same for every row, run once on Python ints.
+    """
     const = 0x43B0D7E5  # numpy's hash and mix constants
 
     def hash_(value, mult=0x931E8875):
         nonlocal const
         xor, const = const, const * mult & _MASK
-        value = (value ^ xor) * const
+        value = (value ^ xor) * const & _MASK  # uint32 arrays wrap anyway; Python ints need the mask
         return value ^ value >> 16
 
     def mix(x, y):
-        x = x * 0xCA01F9DD - y * 0x4973F715
+        x = x * 0xCA01F9DD - y * 0x4973F715 & _MASK
         return x ^ x >> 16
 
-    pool = [hash_(w) for w in entropy[:4]]
+    pool = [hash_(w) for w in pool_words]
     for src, dst in itertools.permutations(range(4), 2):
         pool[dst] = mix(pool[dst], hash_(pool[src]))
-    for w, dst in itertools.product(entropy[4:], range(4)):
+    pool = [np.array([w], np.uint32) for w in pool]  # broadcast along the entropy columns' rows
+    for w, dst in itertools.product(entropy, range(4)):
         pool[dst] = mix(pool[dst], hash_(w))
     const = 0x8B51F9DD  # generate_state: four words, read as two little-endian uint64
     return np.stack([hash_(w, 0x58F38DED) for w in pool], axis=-1).astype("<u4").view("<u8").astype(np.uint64)

@@ -7,9 +7,7 @@ rejected with the same message wherever it enters.
 """
 
 import math
-from numbers import Real
-
-import numpy as np
+from numbers import Integral, Real
 
 
 def _is_number(value) -> bool:
@@ -20,8 +18,9 @@ def _is_number(value) -> bool:
 def _check_k(k, n, lo: int = 1, hi=None, name: str = "k"):
     """Return ``k`` if it is an integer in [lo, hi] (hi defaults to n - 1); raise ValueError otherwise."""
     hi = n - 1 if hi is None else hi
-    # bool is an int subclass, but True is a flag, not a threshold count
-    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and lo <= k <= hi):
+    # bool is an int subclass, but True is a flag, not a threshold count; numpy
+    # integers are Integral, and int is listed first as the quicker test
+    if isinstance(k, bool) or not (isinstance(k, (int, Integral)) and lo <= k <= hi):
         raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {k!r}")
     return k
 

@@ -28,12 +28,15 @@ constant path gives 0 at every k, and the tie rule picks k_min.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .censored import SortedCensoredSample
 from .estimators import _check_k, min_valid_k, sweep
 from .rules import _is_number
+
+if TYPE_CHECKING:
+    from .censored import SortedCensoredSample
 
 __all__ = ["KSelection", "reiss_thomas_k"]
 

@@ -29,15 +29,8 @@ from .censored import SortedCensoredSample, _replicates
 from .distributions import Pareto
 
 __all__ = [
-    "TailProcessCurve",
-    "GofReport",
-    "DegenerateNullError",
-    "delta_curve",
-    "integrate_delta",
-    "ks_stat",
-    "cvm_stat",
-    "gof_pvalue",
-    "GOF_CSV_HEADER",
+    "TailProcessCurve", "GofReport", "DegenerateNullError", "delta_curve", "integrate_delta", "ks_stat", "cvm_stat",
+    "gof_pvalue", "GOF_CSV_HEADER",
 ]
 
 
@@ -219,10 +212,11 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
 
     The null is an exact Pareto lifetime with the sample's estimated index,
     censored by an independent Pareto calibrated so the pair reproduces the
-    estimated uncensored proportion.  Each replicate draws a fresh sample of
-    the same size from stream (seed, replicate), re-estimates the index and
-    proportion, and recomputes both statistics; the p-value is
-    (1 + #{replicate >= observed}) / (reps + 1), so it is never exactly 0.
+    estimated uncensored proportion.  Replicate r draws a fresh sample of the
+    same size, lifetimes from stream (seed, r, 0) and censoring times from
+    (seed, r, 1), re-estimates the index and proportion, and recomputes both
+    statistics; the p-value is (1 + #{replicate >= observed}) / (reps + 1),
+    so it is never exactly 0.
 
     Replicates run through ``censored._replicates``, whose docstring holds
     the block contract.  Each null row keeps only its top k+1 values, all
@@ -234,9 +228,7 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     estimators._check_k(k, s.n, lo=2)
     p = estimators.p_hat(s, k)
     if p == 0.0 or p == 1.0:
-        raise DegenerateNullError(
-            f"estimated proportion p = {p:g} leaves no censoring null to simulate from"
-        )
+        raise DegenerateNullError(f"estimated proportion p = {p:g} leaves no censoring null to simulate from")
     gamma1_hat = estimators.new_weighted(s, k)
     if not gamma1_hat > 0:
         raise DegenerateNullError(f"estimated index {gamma1_hat:g} admits no Pareto null")
