@@ -24,7 +24,8 @@ _EXPORTS = {name: module for module, names in {
     "distributions": "Burr CensoringProfile Frechet HeavyTailModel LogGamma ModelSpecError Pareto censoring_profile "
                      "format_model parse_model",
     "estimators": "ESTIMATOR_IDS EstimateReport KaplanMeierCurve UndefinedEstimateError asymptotic_ci efg "
-                  "estimate_report evaluate hill kaplan_meier new_weighted p_hat sweep weighted_functional ww1 ww2",
+                  "estimate_report evaluate hill kaplan_meier new_terms new_weighted p_hat sweep weighted_functional "
+                  "ww1 ww2",
     "harness": "McConfig McResult default_k_grid run_bias_rmse run_variance_check",
     "io": "CsvFormatError derive_survival read_censored_csv read_raw_records write_censored_csv",
     "rng": "stream",

@@ -9,7 +9,7 @@ sorted ascending with each indicator travelling alongside its observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -154,6 +154,7 @@ def generate_censored(
 
 # a replicate block holds at most this many values (rows * n): see _replicates
 _BLOCK_VALUES = 2**14
+_KEY_ROWS = 2**12  # and one pass of key derivation at most this many rows
 
 
 def _blocks(n: int, reps: int) -> list[range]:
@@ -210,14 +211,22 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
     indices, mapped in order by ``replicate_map``.  Row j of a block is
     replicate r_j as a lone replicate draws it, its lifetimes from stream
     (seed, r_j, 0) and its censoring times from (seed, r_j, 1), or all from
-    (seed, r_j) for complete data; the keys of all reps rows are derived
-    once, in bulk.  Rows are sorted whole or cut to their ``top`` largest
-    values (:func:`_draw_block`).  ``score`` maps the block, a
-    SortedCensoredSample with a leading row axis, to an array with one
-    leading entry per row, with the arithmetic of a lone sample.  So no
-    output bit depends on the block size or ``workers``.
+    (seed, r_j) for complete data; keys are derived in bulk for whole blocks
+    of up to _KEY_ROWS rows, so their memory does not grow with ``reps``.
+    Rows are sorted whole or cut to their ``top`` largest values
+    (:func:`_draw_block`).  ``score`` maps the block, a SortedCensoredSample
+    with a leading row axis, to an array of leading entries joined across
+    blocks, with the arithmetic of a lone sample.  So no output bit depends
+    on the block size or ``workers``.
     """
-    blocks, keys = _blocks(n, reps), _stream_keys(seed, range(reps), complete_data)
-    return np.concatenate(parallel.replicate_map(lambda b: score(
-        _draw_block(model_x, model_y, n, seed, blocks[b], complete_data, top, [k[blocks[b]] for k in keys])
-    ), len(blocks), workers))
+    blocks = _blocks(n, reps)
+    chunk = max(1, _KEY_ROWS // len(blocks[0])) * len(blocks[0])  # rows per key pass, in whole blocks
+    # the blocks run in order, so one chunk's keys are held at a time
+    chunk_keys = lru_cache(maxsize=1)(lambda lo: _stream_keys(seed, range(lo, min(reps, lo + chunk)), complete_data))
+
+    def block_score(b: int) -> np.ndarray:
+        lo = blocks[b].start // chunk * chunk
+        keys = [k[blocks[b].start - lo : blocks[b].stop - lo] for k in chunk_keys(lo)]
+        return score(_draw_block(model_x, model_y, n, seed, blocks[b], complete_data, top, keys))
+
+    return np.concatenate(parallel.replicate_map(block_score, len(blocks), workers))

@@ -147,8 +147,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_convert(args) -> None:
-    records = io.read_raw_records(args.input)
-    z, d = io.derive_survival(records)
+    z, d = io._survival_lists(io.read_raw_records(args.input))  # lists: convert loads no numpy
     with _open_out(args.out) as fh:
         io.write_censored_csv(fh, z, d)
 

@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "UndefinedEstimateError", "EstimateReport", "KaplanMeierCurve", "ESTIMATOR_IDS", "hill", "p_hat", "efg",
-    "kaplan_meier", "ww1", "ww2", "new_weighted", "weighted_functional", "asymptotic_ci", "attached_ci",
+    "kaplan_meier", "ww1", "ww2", "new_weighted", "new_terms", "weighted_functional", "asymptotic_ci", "attached_ci",
     "estimate_report", "evaluate", "sweep", "min_valid_k",
 ]
 
@@ -117,6 +117,15 @@ def new_weighted(s: SortedCensoredSample, k: int) -> float:
     and can dominate the sum, which inflates the estimate under censoring.
     """
     return _at(s, k, "new")
+
+
+def new_terms(s: SortedCensoredSample, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k - 1 terms of :func:`new_weighted` by rank i, whose ``np.sum`` is its value bit for bit, and a mask.
+
+    The mask marks the guard-floor terms: S(i) = 0, so the weight is exactly 1, and they inflate the estimate.
+    """
+    _check_k(k, s.n, lo=2)
+    return _new_weights(s, k, np.arange(1.0, k)) * _new_logs(s, k), s.top_delta_prefix[..., : k - 1] == 0
 
 
 def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 1.0) -> float:
@@ -262,23 +271,27 @@ def _new_logs(s: SortedCensoredSample, k: int) -> np.ndarray:
 
 def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     # not separable in k: O(k) weights per k, over all rows of a block at once.
-    # The log row depends on k only through the threshold value t, so it is
-    # recomputed only where t differs from the previous k's in some row.
-    # While t repeats, Z(n-i) = t for every i between the two ks (the rows
-    # are sorted), and those entries are log(t/t) = +0.0 exactly.
-    ranks = np.arange(1.0, ks.max())
-    thresholds = s._z_desc[..., ks]
-    moved = np.any(thresholds[..., 1:] != thresholds[..., :-1], axis=tuple(range(thresholds.ndim - 1)))
-    logs = np.empty(s.z.shape[:-1] + ranks.shape)
-    filled = 0  # logs[..., :filled] hold the row of the current threshold value
-    out = np.empty(s.z.shape[:-1] + ks.shape)
-    for j, (k, fresh) in enumerate(zip(ks.tolist(), [True] + moved.tolist())):
-        if fresh:
-            logs[..., : k - 1] = _new_logs(s, k)
+    # The log row depends on k only through the threshold t, so it is taken anew
+    # only where t moved in some row; while t repeats, Z(n-i) = t between the two
+    # ks (rows are sorted), and those entries are log(t/t) = +0.0 exactly.
+    # Each k runs _new_weights' and _new_logs' operations in buffers made once and
+    # sums a contiguous view, the layout np.sum of a fresh product sees: the same bits.
+    zr, top, lead, m = s._z_desc, s._top_float, s.z.shape[:-1], int(ks.max()) - 1
+    t = zr[..., ks]  # the thresholds; one k needs no scan
+    fresh = [True] + (np.any(t[..., 1:] != t[..., :-1], axis=tuple(range(len(lead)))).tolist() if ks.size > 1 else [])
+    ranks, x, logs, flat = np.arange(1.0, m + 1), np.empty(m), np.empty(lead + (m,)), np.empty(top[..., :m].size)
+    filled, out = 0, np.empty(lead + ks.shape)  # logs[..., :filled] hold the row of the current threshold value
+    for j, (k, new_t) in enumerate(zip(ks.tolist(), fresh)):
+        row = logs[..., : k - 1]
+        if new_t:
+            np.log(np.divide(zr[..., 1:k], zr[..., k, None], out=row), out=row)
         else:
-            logs[..., filled : k - 1] = 0.0  # an empty slice where k - 1 <= filled
+            row[..., filled:] = 0.0  # an empty slice where k - 1 <= filled
         filled = k - 1
-        out[..., j] = np.sum(_new_weights(s, k, ranks) * logs[..., : k - 1], axis=-1)
+        xk = np.divide(ranks[: k - 1], k, out=x[: k - 1])
+        prod = flat[: flat.size // m * (k - 1)].reshape(lead + (k - 1,))
+        np.divide(xk, np.add(top[..., : k - 1], xk, out=prod), out=prod)
+        out[..., j] = np.add.reduce(np.multiply(prod, row, out=prod), axis=-1)
     return out
 
 
@@ -319,9 +332,9 @@ def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     view, built once per sample: ``hill``/``efg``/``ww1``/``ww2`` come off
     prefix sums of the descending log spacings (``hill``/``efg`` in
     O(len(ks)) once the view is built, ``ww1``/``ww2`` in O(n) per call),
-    and ``new`` costs O(k) per threshold, O(n**2) over the full path.  Its
-    logs are taken anew only where the threshold value changes from the
-    previous threshold's, so tied data pay them once per run of ties.
+    and ``new`` costs O(k) per threshold, O(n**2) over the full path, in
+    buffers made once per call.  Its logs are taken anew only where the
+    threshold value moves from the previous k's: once per run of ties.
     """
     return _sweep(s, _checked_id(estimator_id), ks)
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from typing import Iterable, Iterator, Sequence
+from numbers import Integral
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CsvFormatError",
@@ -43,7 +45,7 @@ def fmt(value) -> str:
     """Render a value for CSV output: 6 significant digits, '' for missing."""
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, Integral):  # np.integer is Integral, np.bool_ is not
         return str(int(value))
     return _fmt_float(float(value))
 
@@ -78,6 +80,7 @@ def _data_rows(path, header):
 
 def read_censored_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a ``z,delta`` file into (z, delta) arrays."""
+    import numpy as np  # imported on use: convert runs without numpy
     z: list[float] = []
     delta: list[int] = []
     for lineno, row in _data_rows(path, CENSORED_HEADER):
@@ -96,14 +99,11 @@ def read_censored_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_censored_csv(path_or_file, z, delta) -> None:
     """Write (z, delta) as a ``z,delta`` file; round-trips exactly."""
-    z = np.asarray(z, dtype=float)
-    delta = np.asarray(delta, dtype=np.int64)
 
     def _write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CENSORED_HEADER)
-        for zi, di in zip(z, delta):
-            writer.writerow([repr(float(zi)), int(di)])
+        writer.writerows([repr(float(zi)), int(di)] for zi, di in zip(z, delta))
 
     if hasattr(path_or_file, "write"):
         _write(path_or_file)
@@ -138,6 +138,13 @@ def derive_survival(records: Iterable[Sequence]) -> tuple[np.ndarray, np.ndarray
     same-day events still yield a positive time); delta is 1 for status
     ``D`` and 0 for ``A``.
     """
+    import numpy as np
+    z, delta = _survival_lists(records)
+    return np.asarray(z), np.asarray(delta, dtype=np.int64)
+
+
+def _survival_lists(records: Iterable[Sequence]) -> tuple[list[float], list[int]]:
+    """:func:`derive_survival` as two lists, the form ``convert`` writes."""
     z: list[float] = []
     delta: list[int] = []
     for start, end, status in records:
@@ -147,4 +154,4 @@ def derive_survival(records: Iterable[Sequence]) -> tuple[np.ndarray, np.ndarray
             raise ValueError(f"unknown status {status!r} (expected D or A)")
         z.append(float((end - start).days + 1))
         delta.append(1 if status == "D" else 0)
-    return np.asarray(z), np.asarray(delta, dtype=np.int64)
+    return z, delta

@@ -234,23 +234,24 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
         raise DegenerateNullError(f"estimated index {gamma1_hat:g} admits no Pareto null")
     ks_obs, cvm_obs, _ = _fit_stats(SortedCensoredSample(s.z[None], s.delta[None], s.top_delta_prefix[None]), k)
 
-    def score(v: SortedCensoredSample) -> np.ndarray:  # (rows, 3): ks, cvm, p_hat
+    def score(v: SortedCensoredSample) -> np.ndarray:  # (1, 3) counts: ks >= observed, cvm >= observed, p_hat = 0
         if np.any((v._hill_sums[:, k - 1] == 0.0) & (v.top_delta_prefix[:, k - 1] > 0)):
             raise DegenerateNullError(f"estimated index {gamma1_hat:g} is too small for a Pareto null: "
                                       f"a null replicate's top {k + 1} values all tie")
-        return np.stack(_fit_stats(v, k), axis=-1)
+        ks, cvm, p_null = _fit_stats(v, k)
+        return np.count_nonzero(np.stack([ks >= ks_obs, cvm >= cvm_obs, p_null == 0.0]), axis=-1)[None]
 
     null_x = Pareto(gamma1_hat)
     null_y = Pareto(gamma1_hat * p / (1.0 - p))
-    ks_null, cvm_null, p_null = _replicates(null_x, null_y, s.n, reps, seed, score, workers, top=k + 1).T
+    ks_ge, cvm_ge, degenerate = _replicates(null_x, null_y, s.n, reps, seed, score, workers, top=k + 1).sum(0).tolist()
     return GofReport(
         ks=float(ks_obs[0]),
         cvm=float(cvm_obs[0]),
-        p_value_ks=(1 + int(np.count_nonzero(ks_null >= ks_obs))) / (reps + 1),
-        p_value_cvm=(1 + int(np.count_nonzero(cvm_null >= cvm_obs))) / (reps + 1),
+        p_value_ks=(1 + ks_ge) / (reps + 1),
+        p_value_cvm=(1 + cvm_ge) / (reps + 1),
         k=int(k),
         n=s.n,
         reps=int(reps),
         seed=int(seed),
-        degenerate=int(np.count_nonzero(p_null == 0.0)),
+        degenerate=degenerate,
     )

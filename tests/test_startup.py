@@ -118,3 +118,10 @@ def test_cli_import_registers_every_traced_layer():
     out = _python("-c", "import sys, tailcens.cli; print(' '.join(sys.modules))")
     assert out.returncode == 0, out.stderr
     assert {f"tailcens.{layer}" for layer in layers} <= set(out.stdout.split())
+
+
+def test_convert_loads_no_numpy(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("start,end,status\n1990-01-01,1990-03-05,D\n1990-02-01,1990-02-01,A\n", encoding="utf-8")
+    probe = _probe("convert", "--input", raw, "--out", tmp_path / "out.csv")
+    assert probe["status"] == 0 and not probe["numpy"]
