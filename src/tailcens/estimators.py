@@ -22,11 +22,14 @@ Estimator ids used across the CLI and the Monte Carlo harness:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import parallel
 from .rules import _check_count, _check_k, _is_number
 
 if TYPE_CHECKING:
@@ -269,7 +272,22 @@ def _new_logs(s: SortedCensoredSample, k: int) -> np.ndarray:
     return np.log(zr[..., 1:k] / zr[..., k, None])
 
 
+_SPLIT_VALUES = 2**24  # terms, sum(k - 1) times rows, from which _new_path splits over the CPUs
+
+
 def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
+    # O(k) terms per k: a long path is cut into contiguous parts of equal sum(k - 1), one per CPU, each run by
+    # _new_loop in a forked process.  A part's first k takes a fresh log row: the bits of the serial loop's reuse
+    if ks.size > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        work = np.cumsum(ks - 1) * math.prod(s.z.shape[:-1])
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        if work[-1] >= _SPLIT_VALUES and cpus > 1:
+            parts = np.split(ks, np.searchsorted(work, work[-1] * np.arange(1, cpus) // cpus) + 1)
+            return np.concatenate(parallel.fork_map(lambda part: _new_loop(s, part), [p for p in parts if p.size]), -1)
+    return _new_loop(s, ks)
+
+
+def _new_loop(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     # not separable in k: O(k) weights per k, over all rows of a block at once.
     # The log row depends on k only through the threshold t, so it is taken anew
     # only where t moved in some row; while t repeats, Z(n-i) = t between the two
@@ -334,7 +352,10 @@ def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     O(len(ks)) once the view is built, ``ww1``/``ww2`` in O(n) per call),
     and ``new`` costs O(k) per threshold, O(n**2) over the full path, in
     buffers made once per call.  Its logs are taken anew only where the
-    threshold value moves from the previous k's: once per run of ties.
+    threshold value moves from the previous k's: once per run of ties.  A
+    path of 2**24 or more terms (sum of k - 1, times the rows) is split at
+    equal work over the process's CPUs, one forked process per part, with
+    the same bits, unless another thread is alive.
     """
     return _sweep(s, _checked_id(estimator_id), ks)
 

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from tailcens import Burr, Frechet, LogGamma, Pareto, generate_censored, sort_censored, stream
+from tailcens import Burr, Frechet, LogGamma, Pareto, estimators, generate_censored, parallel, sort_censored, stream
 
 
 @pytest.fixture
@@ -33,3 +35,23 @@ def make_sample(seed, n=None):
 @pytest.fixture
 def sample_factory():
     return make_sample
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Split every ``new`` path of two or more ks over forked processes, as on two CPUs.
+
+    The list it gives collects the parts of each split, as lists of ks.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(estimators, "_SPLIT_VALUES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    splits, fork_map = [], parallel.fork_map
+
+    def spy(fn, parts):
+        splits.append([part.tolist() for part in parts])
+        return fork_map(fn, parts)
+
+    monkeypatch.setattr(parallel, "fork_map", spy)
+    return splits

@@ -112,6 +112,27 @@ class TestBiasRmse:
         assert result.rmse[0, 0] >= abs(result.bias[0, 0])
 
 
+class TestRunningSums:
+    """The summation order a running (O(block) memory) bias/RMSE aggregate would rely on.
+
+    ``np.nansum`` along the replicate axis of a C-ordered cube adds row after
+    row, so folding blocks into an accumulator row, with the accumulator as the
+    first row of each reduction, gives the one-shot sum bit for bit.  Summing
+    each block on its own and adding the sums does not.
+    """
+
+    @pytest.mark.parametrize("reps,block", [(257, 64), (1_000, 7), (4_999, 333), (20_000, 4_096)])
+    def test_running_nansum_matches_one_nansum(self, reps, block):
+        rng = np.random.default_rng(reps * 31 + block)
+        cube = rng.standard_normal((reps, 5, 12)) * rng.lognormal(0.0, 2.0, (reps, 5, 12))
+        cube[rng.random(cube.shape) < 0.05] = np.nan
+        assert reps % block and np.isnan(cube).any(axis=0).all()
+        for values in (cube, cube**2):  # the sums bias and RMSE need
+            acc = np.zeros(values.shape[1:])
+            for start in range(0, reps, block):
+                acc = np.nansum(np.concatenate([acc[None], values[start : start + block]]), axis=0)
+            assert acc.view(np.int64).tolist() == np.nansum(values, axis=0).view(np.int64).tolist()
+
 class TestVarianceCheck:
     def test_complete_data_matches_classical_variance(self):
         # at p = 1 the scaled variance collapses to the square of the index;

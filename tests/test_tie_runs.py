@@ -50,6 +50,14 @@ class TestNewKernelOnTieRuns:
         assert bits(got) == bits([sweep(s, "new", [k])[0] for k in ks])
         assert bits(got) == bits([weighted_log_sum(s, k) for k in ks])
 
+    @pytest.mark.parametrize("ks", [[40, 5, 40, 39, 2, 41], [40, 39, 41, 5, 40, 2, 44, 36, 36, 59, 35]])
+    def test_split_grid_revisiting_a_tie_run(self, ks, forked):
+        # each part's first k takes a fresh log row where the serial loop reuses one
+        s = run_sample()
+        got = sweep(s, "new", ks)
+        assert len(forked) == 1 and [k for part in forked[0] for k in part] == ks
+        assert bits(got) == bits([weighted_log_sum(s, k) for k in ks])
+
     def test_block_rows_tied_at_different_ks(self):
         n = 80
         lone = []
