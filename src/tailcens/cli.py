@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 
 # lazy module objects: each runs when a command first uses it, so --help loads no numpy
-from . import censored, distributions, estimators, harness, io, parallel, rules, selection, tailprocess
+from . import censored, distributions, estimators, harness, io, rules, selection, tailprocess
 
 ESTIMATE_CSV_HEADER = "estimator,k,value,p_hat,std_err,ci_lo,ci_hi"
 SELECT_CSV_HEADER = "k_star,theta,estimator"
@@ -85,7 +85,7 @@ def _cmd_estimate(args) -> None:
     for est in args.estimator:
         if args.all_k:
             ks = np.arange(estimators.min_valid_k(est), s.n)
-        elif args.k == "auto":
+        elif args.k in (None, "auto"):  # a None default lets argparse see a given --k auto clash with --all-k
             ks = np.array([selection.reiss_thomas_k(s, est, theta=args.theta).k_star])
         else:
             ks = np.array([args.k])
@@ -158,25 +158,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extreme value index estimation for randomly right-censored heavy-tailed data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    theta = _rule(lambda v: selection._check_theta(v), float)
-    workers = _rule(lambda v: parallel._check_workers(v), int)
+    theta = _rule(lambda v: rules._check_theta(v), float)
+    workers = _rule(lambda v: rules._check_workers(v), int)
     estimator_ids, model = _rule(_estimator_ids), _rule(lambda v: distributions.parse_model(v))
 
     p_est = sub.add_parser("estimate", help="estimate the tail index from a z,delta CSV")
     p_est.add_argument("--input", required=True, help="censored sample CSV (header z,delta)")
-    p_est.add_argument(
-        "--k", type=_rule(lambda v: v if v == "auto" else rules._check_count(v, 1, "k"), int), default="auto",
+    k_choice = p_est.add_mutually_exclusive_group()
+    k_choice.add_argument(
+        "--k", type=_rule(lambda v: v if v == "auto" else rules._check_count(v, 1, "k"), int), default=None,
         help="threshold count, or 'auto' (default)",
     )
+    k_choice.add_argument("--all-k", action="store_true", help="emit one row per valid k instead of a single k")
     p_est.add_argument(
         "--estimator", type=estimator_ids, default=("new",),
         help="comma-separated ids among hill|efg|ww1|ww2|new (default new)",
     )
     p_est.add_argument(
-        "--ci", type=_rule(lambda v: estimators._check_level(v), float), default=None,
+        "--ci", type=_rule(lambda v: rules._check_level(v), float), default=None,
         help="confidence level for the new estimator",
     )
-    p_est.add_argument("--all-k", action="store_true", help="emit one row per valid k instead of a single k")
     p_est.add_argument("--theta", type=theta, default=0.3, help="stability exponent for --k auto (default 0.3)")
     _add_common(p_est)
     p_est.set_defaults(func=_cmd_estimate)

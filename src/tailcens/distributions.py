@@ -21,12 +21,11 @@ simulation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rules import _check_count, _is_number
+from .rules import _check_count, _require_positive
 
 __all__ = [
     "Burr",
@@ -46,38 +45,24 @@ class ModelSpecError(ValueError):
     """A model specification string could not be parsed."""
 
 
-def _require_positive(**params) -> None:
-    for name, value in params.items():
-        if not (_is_number(value) and math.isfinite(value) and value > 0):
-            raise ValueError(f"parameter {name} must be a finite positive number, got {value!r}")
-
-
-def _checked_x(x):
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
-        raise ValueError("cdf argument must be finite and >= 0")
-    return x
-
-
-def _checked_u(u):
-    u = np.asarray(u, dtype=float)
-    if not np.all((u > 0.0) & (u < 1.0)):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    return u
-
-
-def _maybe_scalar(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
 class HeavyTailModel:
-    """Base class for the supported families."""
+    """Base class for the supported families: each defines ``_cdf`` and ``_quantile`` on checked float arrays."""
 
     def cdf(self, x):
-        raise NotImplementedError
+        """The cdf at ``x``, finite and >= 0; a float for a scalar."""
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)) or np.any(x < 0):
+            raise ValueError("cdf argument must be finite and >= 0")
+        out = self._cdf(x)
+        return float(out) if np.ndim(out) == 0 else out
 
     def quantile(self, u):
-        raise NotImplementedError
+        """The quantile at ``u``, strictly inside (0, 1); a float for a scalar."""
+        u = np.asarray(u, dtype=float)
+        if not np.all((u > 0.0) & (u < 1.0)):
+            raise ValueError("quantile argument must lie strictly inside (0, 1)")
+        out = self._quantile(u)
+        return float(out) if np.ndim(out) == 0 else out
 
     @property
     def true_evi(self) -> float:
@@ -107,13 +92,11 @@ class Burr(HeavyTailModel):
     def __post_init__(self):
         _require_positive(beta=self.beta, tau=self.tau, lam=self.lam)
 
-    def cdf(self, x):
-        x = _checked_x(x)
-        return _maybe_scalar(1.0 - (self.beta / (self.beta + x**self.tau)) ** self.lam)
+    def _cdf(self, x):
+        return 1.0 - (self.beta / (self.beta + x**self.tau)) ** self.lam
 
-    def quantile(self, u):
-        u = _checked_u(u)
-        return _maybe_scalar((self.beta * ((1.0 - u) ** (-1.0 / self.lam) - 1.0)) ** (1.0 / self.tau))
+    def _quantile(self, u):
+        return (self.beta * ((1.0 - u) ** (-1.0 / self.lam) - 1.0)) ** (1.0 / self.tau)
 
     @property
     def true_evi(self) -> float:
@@ -129,15 +112,12 @@ class Frechet(HeavyTailModel):
     def __post_init__(self):
         _require_positive(gamma=self.gamma)
 
-    def cdf(self, x):
-        x = _checked_x(x)
+    def _cdf(self, x):
         with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(x > 0.0, np.exp(-np.maximum(x, 1e-300) ** (-1.0 / self.gamma)), 0.0)
-        return _maybe_scalar(out)
+            return np.where(x > 0.0, np.exp(-np.maximum(x, 1e-300) ** (-1.0 / self.gamma)), 0.0)
 
-    def quantile(self, u):
-        u = _checked_u(u)
-        return _maybe_scalar((-np.log(u)) ** (-self.gamma))
+    def _quantile(self, u):
+        return (-np.log(u)) ** (-self.gamma)
 
     @property
     def true_evi(self) -> float:
@@ -158,16 +138,13 @@ class LogGamma(HeavyTailModel):
     def __post_init__(self):
         _require_positive(a=self.a, b=self.b)
 
-    def cdf(self, x):
+    def _cdf(self, x):
         from scipy.special import gammainc  # imported on use: scipy is slow to load
-        x = _checked_x(x)
-        lx = np.log(np.maximum(x, 1.0))
-        return _maybe_scalar(gammainc(self.a, lx / self.b))
+        return gammainc(self.a, np.log(np.maximum(x, 1.0)) / self.b)
 
-    def quantile(self, u):
+    def _quantile(self, u):
         from scipy.special import gammaincinv
-        u = _checked_u(u)
-        return _maybe_scalar(np.exp(self.b * gammaincinv(self.a, u)))
+        return np.exp(self.b * gammaincinv(self.a, u))
 
     @property
     def true_evi(self) -> float:
@@ -191,14 +168,11 @@ class Pareto(HeavyTailModel):
     def __post_init__(self):
         _require_positive(gamma=self.gamma)
 
-    def cdf(self, x):
-        x = _checked_x(x)
-        out = 1.0 - np.maximum(x, 1.0) ** (-1.0 / self.gamma)
-        return _maybe_scalar(np.where(x < 1.0, 0.0, out))
+    def _cdf(self, x):
+        return np.where(x < 1.0, 0.0, 1.0 - np.maximum(x, 1.0) ** (-1.0 / self.gamma))
 
-    def quantile(self, u):
-        u = _checked_u(u)
-        return _maybe_scalar((1.0 - u) ** (-self.gamma))
+    def _quantile(self, u):
+        return (1.0 - u) ** (-self.gamma)
 
     @property
     def true_evi(self) -> float:

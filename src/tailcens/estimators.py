@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import parallel
-from .rules import _check_count, _check_k, _is_number
+from .rules import _check_count, _check_fit, _check_k, _check_level, _is_number
 
 if TYPE_CHECKING:
     from .censored import SortedCensoredSample
@@ -65,19 +65,6 @@ class EstimateReport:
     std_err: float | None = None
     ci: tuple[float, float] | None = None
     ci_level: float | None = None
-
-
-def _check_level(level):
-    """Return ``level`` if it is a number in (0, 1); raise ValueError otherwise."""
-    if not (_is_number(level) and 0.0 < level < 1.0):
-        raise ValueError(f"level must be a number in (0, 1), got {level!r}")
-    return level
-
-
-def _check_fit(gamma, p) -> None:
-    """Accept a fitted power tail: numbers gamma > 0 and p in (0, 1]; raise ValueError otherwise."""
-    if not (_is_number(gamma) and _is_number(p) and gamma > 0 and 0.0 < p <= 1.0):
-        raise ValueError(f"a fitted tail needs numbers gamma > 0 and p in (0, 1], got gamma={gamma!r}, p={p!r}")
 
 
 def hill(s: SortedCensoredSample, k: int) -> float:
@@ -128,7 +115,8 @@ def new_terms(s: SortedCensoredSample, k: int) -> tuple[np.ndarray, np.ndarray]:
     The mask marks the guard-floor terms: S(i) = 0, so the weight is exactly 1, and they inflate the estimate.
     """
     _check_k(k, s.n, lo=2)
-    return _new_weights(s, k, np.arange(1.0, k)) * _new_logs(s, k), s.top_delta_prefix[..., : k - 1] == 0
+    _, weights, logs = next(_new_factors(s, np.array([k])))
+    return weights * logs, s.top_delta_prefix[..., : k - 1] == 0
 
 
 def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 1.0) -> float:
@@ -161,8 +149,9 @@ def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 
         gvals = np.asarray([g(t) for t in np.arange(1, k) / (k + 1)], dtype=float)
         if np.any(gvals < 0) or not np.all(np.isfinite(gvals)):
             raise ValueError("weight function must be finite and nonnegative on (0, 1)")
+    _, weights, logs = next(_new_factors(s, np.array([k])))
     # "* 1.0" and "** 1.0" are exact: g = None, alpha = 1 give the new kernel's bits
-    return float(np.sum(_new_weights(s, k, np.arange(1.0, k)) * gvals * _new_logs(s, k) ** alpha)) / norm
+    return float(np.sum(weights * gvals * logs**alpha)) / norm
 
 
 def asymptotic_ci(gamma1_hat: float, p: float, k: int, level: float = 0.95) -> tuple[float, float, float]:
@@ -260,18 +249,6 @@ def _ww2_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     return _ratio_or_nan(np.cumsum(s._log_spacings * running, axis=-1)[..., ks - 1], surv[..., ks])
 
 
-def _new_weights(s: SortedCensoredSample, k: int, ranks: np.ndarray) -> np.ndarray:
-    """Weights x/(S(i) + x), x = i/k, for i < k; ``ranks`` = 1.0, 2.0, ..."""
-    x = ranks[: k - 1] / k
-    return x / (s._top_float[..., : k - 1] + x)
-
-
-def _new_logs(s: SortedCensoredSample, k: int) -> np.ndarray:
-    """Log excesses log(Z(n-i)/Z(n-k)), i < k: the log of the ratio matches the tail curve's breakpoints bit for bit."""
-    zr = s._z_desc
-    return np.log(zr[..., 1:k] / zr[..., k, None])
-
-
 _SPLIT_VALUES = 2**24  # terms, sum(k - 1) times rows, from which _new_path splits over the CPUs
 
 
@@ -288,17 +265,30 @@ def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
 
 
 def _new_loop(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
-    # not separable in k: O(k) weights per k, over all rows of a block at once.
-    # The log row depends on k only through the threshold t, so it is taken anew
-    # only where t moved in some row; while t repeats, Z(n-i) = t between the two
-    # ks (rows are sorted), and those entries are log(t/t) = +0.0 exactly.
-    # Each k runs _new_weights' and _new_logs' operations in buffers made once and
-    # sums a contiguous view, the layout np.sum of a fresh product sees: the same bits.
+    # not separable in k: each threshold's terms are multiplied and summed in the buffers _new_factors fills
+    out = np.empty(s.z.shape[:-1] + ks.shape)
+    for j, weights, logs in _new_factors(s, ks):
+        out[..., j] = np.add.reduce(np.multiply(weights, logs, out=weights), axis=-1)
+    return out
+
+
+def _new_factors(s: SortedCensoredSample, ks: np.ndarray):
+    """Yield ``(j, weights, logs)`` per threshold ``ks[j]``: x/(S(i) + x), x = i/k, and log(Z(n-i)/Z(n-k)), i < k.
+
+    These are new's two factors over all rows of a block: views into buffers
+    made once per call, which the caller may overwrite and the next step
+    refills.  The log of the ratio matches the tail curve's breakpoints bit
+    for bit, and ``weights`` is contiguous, the layout np.sum of a fresh
+    product sees.
+    The log row depends on k only through the threshold t, so it is taken
+    anew only where t moved in some row; while t repeats, Z(n-i) = t between
+    the two ks (rows are sorted), and those entries are log(t/t) = +0.0.
+    """
     zr, top, lead, m = s._z_desc, s._top_float, s.z.shape[:-1], int(ks.max()) - 1
     t = zr[..., ks]  # the thresholds; one k needs no scan
     fresh = [True] + (np.any(t[..., 1:] != t[..., :-1], axis=tuple(range(len(lead)))).tolist() if ks.size > 1 else [])
     ranks, x, logs, flat = np.arange(1.0, m + 1), np.empty(m), np.empty(lead + (m,)), np.empty(top[..., :m].size)
-    filled, out = 0, np.empty(lead + ks.shape)  # logs[..., :filled] hold the row of the current threshold value
+    filled = 0  # logs[..., :filled] hold the row of the current threshold value
     for j, (k, new_t) in enumerate(zip(ks.tolist(), fresh)):
         row = logs[..., : k - 1]
         if new_t:
@@ -307,10 +297,8 @@ def _new_loop(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
             row[..., filled:] = 0.0  # an empty slice where k - 1 <= filled
         filled = k - 1
         xk = np.divide(ranks[: k - 1], k, out=x[: k - 1])
-        prod = flat[: flat.size // m * (k - 1)].reshape(lead + (k - 1,))
-        np.divide(xk, np.add(top[..., : k - 1], xk, out=prod), out=prod)
-        out[..., j] = np.add.reduce(np.multiply(prod, row, out=prod), axis=-1)
-    return out
+        weights = flat[: flat.size // m * (k - 1)].reshape(lead + (k - 1,))
+        yield j, np.divide(xk, np.add(top[..., : k - 1], xk, out=weights), out=weights), row
 
 
 # estimator id -> (path kernel, smallest valid k, why the kernel can give NaN)

@@ -17,9 +17,9 @@ import numpy as np
 
 from .censored import _replicates
 from .distributions import HeavyTailModel, format_model
-from .estimators import _check_count, _check_k, _checked_id, _new_path, _sweep
+from .estimators import _checked_id, _new_path, _sweep
 from .io import fmt
-from .rules import _check_flag
+from .rules import _check_count, _check_flag, _check_k
 
 __all__ = [
     "McConfig",
@@ -37,7 +37,7 @@ RESULT_CSV_HEADER = "estimator,k,bias,rmse,undefined_count"
 
 def default_k_grid(n: int) -> tuple[int, ...]:
     """Every k from 5 to n-5, thinned to at most 100 grid points."""
-    lo, hi = 5, n - 5
+    lo, hi = 5, _check_count(n, 3, "n") - 5
     if hi < lo:
         raise ValueError(f"sample size {n} leaves no room for the default grid")
     step = max(1, math.ceil((hi - lo + 1) / 100))
@@ -62,6 +62,9 @@ class McConfig:
         _check_count(self.n, 3, "n")
         _check_count(self.seed, 0, "seed")
         _check_flag(self.complete_data, "complete_data")
+        for name in ("k_grid", "estimators"):
+            if not len(getattr(self, name)):
+                raise ValueError(f"{name} must not be empty")
         for k in self.k_grid:
             _check_k(k, self.n)
         for est in self.estimators:

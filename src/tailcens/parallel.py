@@ -6,16 +6,10 @@ whose small numpy steps serialize on the interpreter lock.
 
 import os
 import pickle
-from numbers import Integral
+
+from .rules import _check_workers
 
 __all__ = ["replicate_map", "fork_map"]
-
-
-def _check_workers(workers) -> int:
-    """Return ``workers`` if it is an integer >= 1 (a bool is not); raise ValueError otherwise."""
-    if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    return workers
 
 
 def replicate_map(fn, count: int, workers: int = 1) -> list:

@@ -1,9 +1,9 @@
-"""The threshold, count and number rules, below every module that checks them.
+"""Every scalar argument rule, below every module that checks one.
 
-``distributions``, ``censored``, ``estimators``, ``selection`` and
-``harness`` all check their own arguments with these functions, so a sample
-size, a replicate count, a seed, a threshold, a model parameter or a flag is
-rejected with the same message wherever it enters.
+The library and the CLI's flag types check a count, a seed, a threshold, a
+model parameter, theta, a confidence level, a fitted tail, a worker count or
+a flag here, so it is rejected with the same message wherever it enters.
+This module loads no numpy: a flag that breaks a rule exits without it.
 """
 
 import math
@@ -35,3 +35,36 @@ def _check_flag(value, name: str):
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be a bool, got {value!r}")
     return value
+
+
+def _check_theta(theta):
+    """Return ``theta`` if it is a number in [0, 0.5]; raise ValueError otherwise."""
+    if not (_is_number(theta) and 0.0 <= theta <= 0.5):
+        raise ValueError(f"theta must be a number in [0, 0.5], got {theta!r}")
+    return theta
+
+
+def _check_level(level):
+    """Return ``level`` if it is a number in (0, 1); raise ValueError otherwise."""
+    if not (_is_number(level) and 0.0 < level < 1.0):
+        raise ValueError(f"level must be a number in (0, 1), got {level!r}")
+    return level
+
+
+def _check_fit(gamma, p) -> None:
+    """Accept a fitted power tail: numbers gamma > 0 and p in (0, 1]; raise ValueError otherwise."""
+    if not (_is_number(gamma) and _is_number(p) and gamma > 0 and 0.0 < p <= 1.0):
+        raise ValueError(f"a fitted tail needs numbers gamma > 0 and p in (0, 1], got gamma={gamma!r}, p={p!r}")
+
+
+def _check_workers(workers) -> int:
+    """Return ``workers`` if it is an integer >= 1 (a bool is not); raise ValueError otherwise."""
+    if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    return workers
+
+
+def _require_positive(**params) -> None:
+    for name, value in params.items():
+        if not (_is_number(value) and math.isfinite(value) and value > 0):
+            raise ValueError(f"parameter {name} must be a finite positive number, got {value!r}")

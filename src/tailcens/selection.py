@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .estimators import _check_k, min_valid_k, sweep
-from .rules import _is_number
+from .estimators import min_valid_k, sweep
+from .rules import _check_k, _check_theta
 
 if TYPE_CHECKING:
     from .censored import SortedCensoredSample
@@ -80,13 +80,6 @@ def _scan(path_ks: np.ndarray, path: np.ndarray, theta: float, k_min: int) -> np
         wv_le += wv_at[pos]
         criterion[k - k_min] = ((median * w_le - wv_le) + ((wv_total - wv_le) - median * (w_total - w_le))) / k
     return criterion
-
-
-def _check_theta(theta):
-    """Return ``theta`` if it is a number in [0, 0.5]; raise ValueError otherwise."""
-    if not (_is_number(theta) and 0.0 <= theta <= 0.5):
-        raise ValueError(f"theta must be a number in [0, 0.5], got {theta!r}")
-    return theta
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import numpy as np
 from . import estimators
 from .censored import SortedCensoredSample, _replicates
 from .distributions import Pareto
+from .rules import _check_count, _check_fit, _check_k
 
 __all__ = [
     "TailProcessCurve", "GofReport", "DegenerateNullError", "delta_curve", "integrate_delta", "ks_stat", "cvm_stat",
@@ -72,7 +73,7 @@ def _atoms(s: SortedCensoredSample, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def delta_curve(s: SortedCensoredSample, k: int) -> TailProcessCurve:
     """Exact piecewise representation of the tail step function."""
-    estimators._check_k(k, s.n, lo=2)
+    _check_k(k, s.n, lo=2)
     weights, positions = _atoms(s, k)
     # positions Z(n-m)/t never rise with m, so the atoms above the threshold
     # form a prefix (atoms tied with it never exceed x*t) and ties are adjacent
@@ -142,7 +143,7 @@ def ks_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> floa
     The supremum over x >= 1 of |curve(x) - x**(-1/gamma_hat)/p|, times
     sqrt(k), evaluated exactly piece by piece.
     """
-    estimators._check_fit(gamma_hat, p)
+    _check_fit(gamma_hat, p)
     return float(_ks_from_curve(delta_curve(s, k), gamma_hat, p))
 
 
@@ -154,7 +155,7 @@ def cvm_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> flo
     closed form per piece (the integrand expands into three elementary power
     terms on each constant piece, including the unbounded final one).
     """
-    estimators._check_fit(gamma_hat, p)
+    _check_fit(gamma_hat, p)
     return float(_cvm_from_curve(delta_curve(s, k), gamma_hat, p))
 
 
@@ -224,8 +225,8 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     with ties one at a time.  A null index so small that a null replicate's
     top k+1 values all tie (its ``hill`` is 0) raises DegenerateNullError.
     """
-    estimators._check_count(reps, 100, "reps")  # fewer leave no usable p-value
-    estimators._check_k(k, s.n, lo=2)
+    _check_count(reps, 100, "reps")  # fewer leave no usable p-value
+    _check_k(k, s.n, lo=2)
     p = estimators.p_hat(s, k)
     if p == 0.0 or p == 1.0:
         raise DegenerateNullError(f"estimated proportion p = {p:g} leaves no censoring null to simulate from")

@@ -59,6 +59,14 @@ class TestEstimate:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + (149 - 2 + 1)  # k from 2 to n-1
 
+    @pytest.mark.parametrize("k", ["40", "auto"])
+    def test_k_with_all_k_is_usage_error(self, pareto_csv, capsys, k):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", str(pareto_csv), "--k", k, "--all-k"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument --k" in captured.err
+
     def test_auto_k(self, pareto_csv, capsys):
         run_ok(["estimate", "--input", pareto_csv, "--k", "auto", "--estimator", "new"])
         row = capsys.readouterr().out.splitlines()[1].split(",")

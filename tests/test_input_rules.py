@@ -16,6 +16,7 @@ from tailcens import (
     Pareto,
     asymptotic_ci,
     cvm_stat,
+    default_k_grid,
     delta_curve,
     generate_censored,
     gof_pvalue,
@@ -89,6 +90,11 @@ class TestMcConfig:
 
     def test_numpy_integer_grid_accepted(self):
         assert small_config(k_grid=(np.int64(5), 79)).k_grid == (5, 79)
+
+    @pytest.mark.parametrize("field", ["k_grid", "estimators"])
+    def test_empty_field_is_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must not be empty$"):
+            small_config(**{field: ()})
 
     def test_estimator_uses_the_id_rule(self):
         with pytest.raises(ValueError) as exc:
@@ -317,6 +323,17 @@ class TestCountRule:
         with pytest.raises(ValueError) as exc:
             small_config(**{field: value})
         assert str(exc.value) == _message(_count_rule(lo, field), value)
+
+    @pytest.mark.parametrize("n", [20.5, True, 2, "20"])
+    def test_default_k_grid(self, n):
+        with pytest.raises(ValueError) as exc:
+            default_k_grid(n)
+        assert str(exc.value) == _message(_count_rule(3, "n"), n)
+
+    def test_default_k_grid_without_room(self):
+        with pytest.raises(ValueError, match="sample size 9 leaves no room for the default grid"):
+            default_k_grid(9)
+        assert default_k_grid(np.int64(10)) == (5,)
 
     def test_mc_config_numpy_integers_accepted(self):
         cfg = small_config(n=np.int64(80), reps=np.int32(2))

@@ -2,8 +2,11 @@
 
 ``censored._replicates`` is the only place that blocks, draws and joins
 replicates; the Monte Carlo engines call it once each.  Seeds and model
-parameters follow one rule each, wherever they enter.
+parameters follow one rule each, wherever they enter, and every scalar
+argument rule is defined in ``rules`` alone.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from tailcens import (
     stream,
     weighted_functional,
 )
-from tailcens import censored, estimators, harness, rules, selection, tailprocess
+from tailcens import censored, distributions, estimators, harness, parallel, rules, selection, tailprocess
 from tailcens.censored import _BLOCK_VALUES, _replicates
 from tailcens.cli import main
 
@@ -68,7 +71,26 @@ class TestStructure:
         assert type(block) is censored.SortedCensoredSample and block.z.shape == (3, N)
 
     def test_one_number_predicate(self):
-        assert estimators._is_number is rules._is_number is selection._is_number
+        assert estimators._is_number is rules._is_number
+
+    @pytest.mark.parametrize(
+        "name", ["_check_level", "_check_fit", "_check_theta", "_check_workers", "_require_positive"]
+    )
+    def test_scalar_rule_defined_in_rules_alone(self, name):
+        assert getattr(rules, name).__module__ == "tailcens.rules"
+        sources = {path.name: path.read_text(encoding="utf-8") for path in Path(rules.__file__).parent.glob("*.py")}
+        assert [file for file, text in sources.items() if f"def {name}(" in text] == ["rules.py"]
+        assert not [file for file, text in sources.items() if "estimators._check_" in text]
+
+    @pytest.mark.parametrize("module,names", [
+        (estimators, ["_check_count", "_check_fit", "_check_level"]),
+        (selection, ["_check_theta"]),
+        (parallel, ["_check_workers"]),
+        (distributions, ["_require_positive"]),
+    ])
+    def test_modules_apply_the_rules_objects(self, module, names):
+        for name in names:
+            assert getattr(module, name) is getattr(rules, name), (module.__name__, name)
 
 
 class TestTiedNull:

@@ -71,7 +71,10 @@ def test_help_is_quiet_and_runs_no_library_module():
 
 
 @pytest.mark.parametrize("argv", [["estimate"], ["estimate", "--input", "x.csv", "--k", "0"],
-                                  ["gof", "--input", "x.csv", "--k", "5", "--workers", "0"]])
+                                  ["gof", "--input", "x.csv", "--k", "5", "--workers", "0"],
+                                  ["estimate", "--input", "x.csv", "--theta", "0.9"],
+                                  ["estimate", "--input", "x.csv", "--k", "5", "--ci", "1.5"],
+                                  ["select-k", "--input", "x.csv", "--theta", "nan"]])
 def test_usage_errors_load_no_numpy(argv):
     probe = _probe(*argv)
     assert probe["status"] == 2 and not probe["numpy"]
