@@ -76,11 +76,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+def _sample(path: str):
+    """The censored sample in the z,delta CSV at ``path``, sorted: every command's one read of its input."""
+    return censored.sort_censored(*io.read_censored_csv(path))
+
+
 def _cmd_estimate(args) -> None:
     import numpy as np
 
-    z, d = io.read_censored_csv(args.input)
-    s = censored.sort_censored(z, d)
+    s = _sample(args.input)
     lines = [ESTIMATE_CSV_HEADER + "\n"]
     for est in args.estimator:
         if args.all_k:
@@ -91,7 +95,7 @@ def _cmd_estimate(args) -> None:
             ks = np.array([args.k])
             estimators.evaluate(s, args.k, est)  # raises, with its message, where k is out of range or undefined
         values = estimators.sweep(s, est, ks).tolist()  # the kernels evaluate reads: the same bits
-        p_col = (s.top_delta_prefix[ks - 1] / ks).tolist()  # p_hat at every k at once
+        p_col = estimators._p_hat_path(s, ks).tolist()  # p_hat at every k at once
         cells = zip(io.fmt_column(values), io.fmt_column(p_col))
         for k, value, p, (value_cell, p_cell) in zip(ks.tolist(), values, p_col, cells):
             ci = estimators.attached_ci(est, value, p, k, args.ci)
@@ -101,8 +105,7 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_select_k(args) -> None:
-    z, d = io.read_censored_csv(args.input)
-    s = censored.sort_censored(z, d)
+    s = _sample(args.input)
     sel = selection.reiss_thomas_k(s, args.estimator, theta=args.theta, k_min=args.k_min, k_max=args.k_max)
     with _open_out(args.out) as fh:
         fh.write(SELECT_CSV_HEADER + "\n")
@@ -115,8 +118,7 @@ def _cmd_select_k(args) -> None:
 
 
 def _cmd_gof(args) -> None:
-    z, d = io.read_censored_csv(args.input)
-    s = censored.sort_censored(z, d)
+    s = _sample(args.input)
     report = tailprocess.gof_pvalue(s, args.k, reps=args.reps, seed=args.seed, workers=args.workers)
     with _open_out(args.out) as fh:
         fh.write(tailprocess.GOF_CSV_HEADER + "\n")

@@ -48,6 +48,10 @@ class ModelSpecError(ValueError):
 class HeavyTailModel:
     """Base class for the supported families: each defines ``_cdf`` and ``_quantile`` on checked float arrays."""
 
+    def __post_init__(self):
+        """Apply the model parameter rule to every field, in field order."""
+        _require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
+
     def cdf(self, x):
         """The cdf at ``x``, finite and >= 0; a float for a scalar."""
         x = np.asarray(x, dtype=float)
@@ -78,7 +82,7 @@ class HeavyTailModel:
         for row, rng in zip(out, rngs):
             row[:] = rng.random(row.size)
         out[out == 0.0] = 0.5 / (1 << 53)  # random() covers [0, 1): nudge an exact 0 into the interior
-        return np.asarray(self.quantile(out))  # by inverse transform, once per block
+        return self._quantile(out)  # by inverse transform, once per block: every u is already inside (0, 1)
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,6 @@ class Burr(HeavyTailModel):
     beta: float
     tau: float
     lam: float
-
-    def __post_init__(self):
-        _require_positive(beta=self.beta, tau=self.tau, lam=self.lam)
 
     def _cdf(self, x):
         return 1.0 - (self.beta / (self.beta + x**self.tau)) ** self.lam
@@ -108,9 +109,6 @@ class Frechet(HeavyTailModel):
     """Frechet law, F(x) = exp(-x**(-1/gamma))."""
 
     gamma: float
-
-    def __post_init__(self):
-        _require_positive(gamma=self.gamma)
 
     def _cdf(self, x):
         with np.errstate(divide="ignore", over="ignore"):
@@ -134,9 +132,6 @@ class LogGamma(HeavyTailModel):
 
     a: float
     b: float
-
-    def __post_init__(self):
-        _require_positive(a=self.a, b=self.b)
 
     def _cdf(self, x):
         from scipy.special import gammainc  # imported on use: scipy is slow to load
@@ -164,9 +159,6 @@ class Pareto(HeavyTailModel):
     """Strict Pareto law on x >= 1, F(x) = 1 - x**(-1/gamma)."""
 
     gamma: float
-
-    def __post_init__(self):
-        _require_positive(gamma=self.gamma)
 
     def _cdf(self, x):
         return np.where(x < 1.0, 0.0, 1.0 - np.maximum(x, 1.0) ** (-1.0 / self.gamma))

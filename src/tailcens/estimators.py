@@ -25,6 +25,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,7 +76,7 @@ def hill(s: SortedCensoredSample, k: int) -> float:
 def p_hat(s: SortedCensoredSample, k: int) -> float:
     """Fraction of uncensored observations among the top k."""
     _check_k(k, s.n, hi=s.n)
-    return float(s.top_delta_prefix[k - 1]) / k
+    return float(_p_hat_path(s, k))
 
 
 def efg(s: SortedCensoredSample, k: int) -> float:
@@ -173,10 +174,11 @@ def asymptotic_ci(gamma1_hat: float, p: float, k: int, level: float = 0.95) -> t
 
 def attached_ci(estimator_id: str, value: float, p: float, k: int, level: float | None):
     """``(std_err, lower, upper)`` for ``new`` where :func:`asymptotic_ci` applies, else None."""
-    # value is NaN where undefined and 0 when the top k points tie the threshold
-    if level is None or estimator_id != "new" or not (p > 0 and value > 0):
+    if level is None:
         return None
-    return asymptotic_ci(value, p, k, level)
+    _check_level(level)  # a given level is checked whatever the estimator and the estimate
+    # value is NaN where undefined and 0 when the top k points tie the threshold
+    return asymptotic_ci(value, p, k, level) if estimator_id == "new" and p > 0 and value > 0 else None
 
 
 def min_valid_k(estimator_id: str) -> int:
@@ -232,8 +234,12 @@ def _hill_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     return s._hill_sums[..., ks - 1] / ks
 
 
+def _p_hat_path(s: SortedCensoredSample, ks) -> np.ndarray:
+    return s.top_delta_prefix[..., ks - 1] / ks  # S(k)/k, the one read of it; ks one integer or an array
+
+
 def _efg_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
-    return _ratio_or_nan(_hill_path(s, ks), s.top_delta_prefix[..., ks - 1] / ks)
+    return _ratio_or_nan(_hill_path(s, ks), _p_hat_path(s, ks))
 
 
 def _ww1_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
@@ -326,11 +332,11 @@ def _at(s: SortedCensoredSample, k: int, estimator_id: str) -> float:
 def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     """Evaluate one estimator over many thresholds; NaN where undefined.
 
-    ``ks`` must hold integers: float, bool or other non-integer thresholds
-    raise ``ValueError`` rather than being truncated.  Integer thresholds
-    outside the estimator's valid range and thresholds where the estimate
-    does not exist (e.g. ``efg`` with no uncensored top points) yield NaN
-    rather than raising.
+    ``ks`` must hold integers within int64: float, bool or other
+    non-integer thresholds, also inside a list such as ``[5, True]``, raise
+    ``ValueError`` rather than being truncated.  Integer thresholds outside
+    the estimator's valid range and thresholds where the estimate does not
+    exist (e.g. ``efg`` with no uncensored top points) yield NaN instead.
 
     Each estimator has one kernel, and the pointwise functions are
     single-k reads of it, so every value equals the pointwise one bit for
@@ -351,10 +357,11 @@ def sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
 def _sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     """:func:`sweep` on a checked id; on a block of replicate samples, one row of values per sample."""
     path, lo, _ = _PATHS[estimator_id]
-    ks = np.asarray(ks)
+    ks = ks if isinstance(ks, np.ndarray) else np.asarray(ks, dtype=object)  # numpy would read [5, True] as ints
     if ks.dtype.kind not in "iu":
         for k in ks.ravel().tolist():
-            _check_k(k, s.n, lo)  # raises at the first float or bool threshold
+            if isinstance(k, bool) or not (isinstance(k, Integral) and -(2**63) <= k < 2**63):
+                _check_k(k, s.n, lo)  # raises at the first float, bool or beyond-int64 threshold
     ks = ks.astype(np.int64, copy=False)
     out = np.full(s.z.shape[:-1] + ks.shape, np.nan)
     valid = (ks >= lo) & (ks <= s.n - 1)

@@ -91,23 +91,24 @@ def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
 
     Replicates run through ``censored._replicates``.  A block's rows are
     sorted whole (``ww1``/``ww2`` read the whole Kaplan-Meier curve), and
-    each estimator's sweep kernel reads all rows in one call.
+    each estimator's sweep kernel reads all rows in one call.  Each block's
+    errors and squared errors are folded into running sums in O(block) memory.
     """
-    gamma1 = cfg.model_x.true_evi
+    gamma1, ks = cfg.model_x.true_evi, np.array(cfg.k_grid)
+    sums = np.zeros((2, len(cfg.estimators), ks.size))  # the nansums of err and err**2 so far
 
-    def block_values(v) -> np.ndarray:  # (rows, estimators, k grid)
-        return np.stack([_sweep(v, est, cfg.k_grid) for est in cfg.estimators], axis=1)
+    def fold(v) -> np.ndarray:  # adds the block to sums and returns its (1, estimators, k grid) defined counts
+        rows = np.empty((len(v.z) + 1,) + sums.shape)  # sums, then err and err**2 of each replicate
+        rows[0], err = sums, rows[1:, 0]
+        np.subtract(np.stack([_sweep(v, est, ks) for est in cfg.estimators], axis=1), gamma1, out=err)
+        np.multiply(err, err, out=rows[1:, 1])
+        with np.errstate(invalid="ignore"):  # the running sum first: replicate after replicate, as one nansum adds
+            np.nansum(rows, axis=0, out=sums)
+        return np.count_nonzero(~np.isnan(err), axis=0)[None]
 
-    cube = _replicates(cfg.model_x, cfg.model_y, cfg.n, cfg.reps, cfg.seed, block_values, workers, cfg.complete_data)
-    defined = ~np.isnan(cube)
-    undefined_count = cfg.reps - defined.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        err = cube - gamma1
-        counts = defined.sum(axis=0)
-        safe = np.maximum(counts, 1)
-        bias = np.where(counts > 0, np.nansum(err, axis=0) / safe, np.nan)
-        rmse = np.where(counts > 0, np.sqrt(np.nansum(err * err, axis=0) / safe), np.nan)
-    return McResult(config=cfg, bias=bias, rmse=rmse, undefined_count=undefined_count)
+    counts = _replicates(cfg.model_x, cfg.model_y, cfg.n, cfg.reps, cfg.seed, fold, workers, cfg.complete_data).sum(0)
+    bias, mse = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    return McResult(config=cfg, bias=bias, rmse=np.sqrt(mse), undefined_count=cfg.reps - counts)
 
 
 def run_variance_check(

@@ -96,14 +96,8 @@ def integrate_delta(curve: TailProcessCurve) -> float:
     Each constant piece contributes level * (log(right) - log(left)); the
     final piece has level 0.  Equals the ``new`` estimator at the same k.
     """
-    if curve.breakpoints.size == 0:
-        return 0.0
     log_edges = np.concatenate([[0.0], np.log(curve.breakpoints)])
     return float(np.sum(curve.levels[:-1] * np.diff(log_edges)))
-
-
-def _fitted_tail(x, gamma: float, p: float):
-    return x ** (-1.0 / gamma) / p
 
 
 # The two statistics score one curve, with scalar gamma and p, or a stack of
@@ -114,7 +108,7 @@ def _fitted_tail(x, gamma: float, p: float):
 
 def _ks_from_curve(curve: TailProcessCurve, gamma, p):
     bp, lv = curve.breakpoints, curve.levels
-    cb = _fitted_tail(bp, gamma, p)
+    cb = bp ** (-1.0 / gamma) / p  # the fitted tail at the breakpoints
     # the comparison tail, 1/p at x = 1, is continuous and decreasing, so each
     # piece's extremes sit at its ends: check both one-sided limits per breakpoint
     gaps = np.concatenate([lv[..., :1] - 1.0 / p, lv[..., :-1] - cb, lv[..., 1:] - cb], axis=-1)
@@ -130,8 +124,7 @@ def _cvm_from_curve(curve: TailProcessCurve, gamma, p):
     right = np.concatenate([bp, edge * np.inf], axis=-1)
 
     def power_integral(mult):  # int_a^b x**(-mult*c-1) dx, piecewise
-        hi = np.where(np.isinf(right), 0.0, right ** (-mult * c))
-        return (left ** (-mult * c) - hi) / (mult * c)
+        return (left ** (-mult * c) - right ** (-mult * c)) / (mult * c)  # inf ** -x is +0.0
 
     terms = lv * lv * power_integral(1.0) - 2.0 * lv * q * power_integral(2.0) + q * q * power_integral(3.0)
     return (curve.k * q / gamma * np.sum(terms, axis=-1, keepdims=True))[..., 0]
@@ -190,7 +183,7 @@ def _fit_stats(v: SortedCensoredSample, k: int) -> tuple[np.ndarray, np.ndarray,
     through :func:`delta_curve` alone.
     """
     gamma = estimators._hill_path(v, np.array([k]))[:, 0]
-    p = v.top_delta_prefix[:, k - 1] / k
+    p = estimators._p_hat_path(v, k)
     ks, cvm = np.full(p.shape, np.inf), np.full(p.shape, np.inf)
     weights, positions = _atoms(v, k)
     whole = (positions[:, -1] > 1.0) & np.all(positions[:, :-1] != positions[:, 1:], axis=-1)

@@ -7,6 +7,7 @@ from scipy import integrate, special
 from tailcens import (
     Burr,
     Frechet,
+    HeavyTailModel,
     LogGamma,
     ModelSpecError,
     Pareto,
@@ -15,6 +16,7 @@ from tailcens import (
     parse_model,
     stream,
 )
+from tailcens.censored import _draw_block
 
 ALL_MODELS = [Burr(1.0, 2.0, 1.5), Frechet(0.8), LogGamma(2.0, 0.5), Pareto(1.2)]
 
@@ -124,6 +126,38 @@ class TestSample:
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_samples_positive(self, model):
         assert np.all(model.sample(1000, stream(5)) > 0)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_draw_path_checks_no_quantile_domain(self, model, monkeypatch):
+        # the draw path has forced every u into (0, 1) itself, so it skips the public quantile's check
+        def refuse(self, u):
+            raise AssertionError("the draw path went through the public quantile")
+
+        monkeypatch.setattr(HeavyTailModel, "quantile", refuse)
+        assert _draw_block(model, Pareto(1.0), 30, 4, range(5)).z.shape == (5, 30)
+        assert model.sample(3, stream(2)).shape == (3,)
+
+
+class TestParameterRule:
+    @pytest.mark.parametrize("cls", [Burr, Frechet, LogGamma, Pareto])
+    def test_applied_by_the_base_class_alone(self, cls):
+        assert "__post_init__" not in vars(cls)
+
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: Burr(0.0, 2.0, 1.0), "beta"),
+            (lambda: Burr(1.0, 2.0, math.inf), "lam"),
+            (lambda: Burr(1.0, -1.0, -1.0), "tau"),  # fields in order: the first bad one is named
+            (lambda: Frechet(-0.5), "gamma"),
+            (lambda: LogGamma(2.0, math.nan), "b"),
+            (lambda: LogGamma(False, 1.0), "a"),
+            (lambda: Pareto(0.0), "gamma"),
+        ],
+    )
+    def test_names_the_first_bad_field(self, build, name):
+        with pytest.raises(ValueError, match=rf"^parameter {name} must be a finite positive number, got"):
+            build()
 
 
 class TestTrueEvi:

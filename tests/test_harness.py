@@ -112,6 +112,14 @@ class TestBiasRmse:
         assert result.rmse[0, 0] >= abs(result.bias[0, 0])
 
 
+    def test_a_cell_does_not_depend_on_the_rest_of_the_grid(self):
+        # every cell sums its replicates in order, so a lone cell gets the bits it gets inside a wider grid
+        lone = run_bias_rmse(small_config(model_y=Pareto(2.0), reps=300, k_grid=(20,), estimators=("new",)))
+        wide = run_bias_rmse(small_config(model_y=Pareto(2.0), reps=300, k_grid=(10, 20), estimators=("hill", "new")))
+        for field in ("bias", "rmse", "undefined_count"):
+            assert getattr(lone, field)[0, 0] == getattr(wide, field)[1, 1]
+
+
 class TestRunningSums:
     """The summation order a running (O(block) memory) bias/RMSE aggregate would rely on.
 

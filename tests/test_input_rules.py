@@ -18,6 +18,7 @@ from tailcens import (
     cvm_stat,
     default_k_grid,
     delta_curve,
+    estimate_report,
     generate_censored,
     gof_pvalue,
     ks_stat,
@@ -32,7 +33,7 @@ from tailcens import (
     write_censored_csv,
 )
 from tailcens.cli import main
-from tailcens.estimators import ESTIMATOR_IDS, _check_count, _check_fit, _check_level, _checked_id
+from tailcens.estimators import ESTIMATOR_IDS, _check_count, _check_fit, _check_level, _checked_id, attached_ci
 from tailcens.parallel import _check_workers
 from tailcens.rules import _check_flag
 from tailcens.selection import _check_theta
@@ -52,10 +53,16 @@ def sample():
 
 class TestSweepThresholds:
     @pytest.mark.parametrize("estimator_id", ESTIMATOR_IDS)
-    @pytest.mark.parametrize("ks", [[2.7], [True], np.array([2.0]), [3, 4.5], np.array([True, False])])
+    @pytest.mark.parametrize("ks", [[2.7], [True], np.array([2.0]), [3, 4.5], np.array([True, False]), [5, True]])
     def test_non_integer_thresholds_raise(self, sample, estimator_id, ks):
         with pytest.raises(ValueError, match="k must be an integer in"):
             sweep(sample, estimator_id, ks)
+
+    @pytest.mark.parametrize("ks", [[2**70], [5, 2**63], np.array([2**64], dtype=object)])
+    def test_thresholds_beyond_int64_raise(self, sample, ks):
+        # an integer the int64 path cannot hold is refused, not wrapped or left to overflow
+        with pytest.raises(ValueError, match="k must be an integer in"):
+            sweep(sample, "hill", ks)
 
     def test_message_names_the_first_bad_threshold(self, sample):
         with pytest.raises(ValueError, match=r"k must be an integer in \[2, 59\], got 2\.7"):
@@ -129,6 +136,19 @@ class TestAsymptoticCi:
     def test_level_rule(self, level):
         with pytest.raises(ValueError, match=r"level must be a number in \(0, 1\)"):
             asymptotic_ci(0.5, 0.5, 10, level)
+
+    @pytest.mark.parametrize("level", [0.0, 1.5, float("nan"), "x", True])
+    @pytest.mark.parametrize("estimator_id", ESTIMATOR_IDS)
+    def test_attached_level_rule_whatever_the_estimator(self, sample, level, estimator_id):
+        # the rule applies before it is decided whether an interval applies at all
+        with pytest.raises(ValueError, match=r"level must be a number in \(0, 1\)"):
+            estimate_report(sample, 10, estimator_id, ci_level=level)
+        with pytest.raises(ValueError, match=r"level must be a number in \(0, 1\)"):
+            attached_ci("new", 0.5, 0.0, 10, level)  # p_hat = 0: no interval, but the level is still checked
+
+    def test_no_level_no_interval(self, sample):
+        assert attached_ci("new", 0.5, 0.5, 10, None) is None
+        assert estimate_report(sample, 10, "hill").ci is None
 
     @pytest.mark.parametrize("k", [0, 2.5, True])
     def test_k_rule(self, k):
