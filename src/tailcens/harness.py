@@ -89,10 +89,10 @@ class McResult:
 def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
     """Replicate the experiment and aggregate bias and RMSE per cell.
 
-    Replicates run through ``censored._replicates``.  A block's rows are
-    sorted whole (``ww1``/``ww2`` read the whole Kaplan-Meier curve), and
-    each estimator's sweep kernel reads all rows in one call.  Each block's
-    errors and squared errors are folded into running sums in O(block) memory.
+    Replicates run through ``censored._replicates`` with rows sorted whole
+    (``ww1``/``ww2`` read the whole Kaplan-Meier curve), one sweep call per
+    estimator and block.  ``fold`` adds each block's err and err**2 to ``sums``
+    here, in O(block) memory: the blocks must run in order in this process.
     """
     gamma1, ks = cfg.model_x.true_evi, np.array(cfg.k_grid)
     sums = np.zeros((2, len(cfg.estimators), ks.size))  # the nansums of err and err**2 so far

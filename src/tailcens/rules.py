@@ -11,8 +11,8 @@ from numbers import Integral, Real
 
 
 def _is_number(value) -> bool:
-    """A real number, not a bool: True is a flag, not a quantity.  Exact float and int skip the slow ABC check."""
-    return type(value) in (float, int) or isinstance(value, Real) and not isinstance(value, bool)
+    """A real number, not a bool: True is a flag, not a quantity."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _check_k(k, n, lo: int = 1, hi=None, name: str = "k"):
