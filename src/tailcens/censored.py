@@ -102,10 +102,13 @@ def sort_censored(z, delta) -> SortedCensoredSample:
 
     Tied observations are ordered with the uncensored ones (delta = 1)
     first, the usual survival convention of deaths preceding censorings at
-    equal times.
+    equal times.  The sample rule: nonempty 1-D numeric arrays of one length
+    (bools allowed in ``delta``), ``z`` finite and > 0, ``delta`` 0 or 1.
     """
-    z = np.asarray(z, dtype=float).ravel()
-    delta = np.asarray(delta).ravel()
+    z, delta = np.asarray(z), np.asarray(delta)
+    for name, arr, kinds in (("z", z, "iuf"), ("delta", delta, "biuf")):
+        if arr.ndim != 1 or arr.dtype.kind not in kinds:
+            raise ValueError(f"{name} must be a 1-D array of numbers, got a {arr.ndim}-D array of {arr.dtype}")
     if z.size == 0:
         raise ValueError("sample must be nonempty")
     if z.size != delta.size:
@@ -114,7 +117,7 @@ def sort_censored(z, delta) -> SortedCensoredSample:
     # checked before the integer cast, which would truncate e.g. 0.5 to 0
     if not np.all((delta == 0) | (delta == 1)):
         raise ValueError("censoring indicators must be 0 or 1")
-    return SortedCensoredSample(*map(_read_only, _sorted(z, delta.astype(np.int64))))
+    return SortedCensoredSample(*map(_read_only, _sorted(z.astype(float), delta.astype(np.int64))))
 
 
 def censor(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -208,25 +211,30 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
     """``score`` of replicates 0..reps-1 of size ``n``, joined in replicate order: the one replicate loop.
 
     Replicates run in blocks of max(1, _BLOCK_VALUES // n) consecutive
-    indices, mapped in order by ``replicate_map``.  Row j of a block is
+    indices, mapped by ``replicate_map`` over up to ``workers`` processes,
+    each running a contiguous range of blocks in order.  Row j of a block is
     replicate r_j as a lone replicate draws it, its lifetimes from stream
     (seed, r_j, 0) and its censoring times from (seed, r_j, 1), or all from
-    (seed, r_j) for complete data; keys are derived in bulk for whole blocks
-    of up to _KEY_ROWS rows, so their memory does not grow with ``reps``.
-    Rows are sorted whole or cut to their ``top`` largest values
-    (:func:`_draw_block`).  ``score`` maps the block, a SortedCensoredSample
-    with a leading row axis, to an array of leading entries joined across
-    blocks, with the arithmetic of a lone sample.  So no output bit depends
-    on the block size or ``workers``.
+    (seed, r_j) for complete data; a process derives the keys of its own
+    blocks in bulk, up to _KEY_ROWS rows a pass, so their memory does not
+    grow with ``reps``.  Rows are sorted whole or cut to their ``top``
+    largest values (:func:`_draw_block`).  ``score`` maps the block, a
+    SortedCensoredSample with a leading row axis, to an array of leading
+    entries joined across blocks, with the arithmetic of a lone sample.  So
+    no output bit depends on the block size or ``workers``.  ``score`` must
+    return all it computes: a forked block's side effects are lost.
     """
     blocks = _blocks(n, reps)
-    chunk = max(1, _KEY_ROWS // len(blocks[0])) * len(blocks[0])  # rows per key pass, in whole blocks
-    # the blocks run in order, so one chunk's keys are held at a time
-    chunk_keys = lru_cache(maxsize=1)(lambda lo: _stream_keys(seed, range(lo, min(reps, lo + chunk)), complete_data))
+    cuts = parallel._cuts(len(blocks), workers)
+    per_pass = max(1, _KEY_ROWS // len(blocks[0]))  # blocks a key pass derives, within one process's range
+    # a range runs its blocks in order, so one pass's keys are held at a time
+    pass_keys = lru_cache(maxsize=1)(lambda rows: _stream_keys(seed, rows, complete_data))
 
     def block_score(b: int) -> np.ndarray:
-        lo = blocks[b].start // chunk * chunk
-        keys = [k[blocks[b].start - lo : blocks[b].stop - lo] for k in chunk_keys(lo)]
+        cut = next(c for c in cuts if b in c)
+        first = b - (b - cut.start) % per_pass
+        rows = range(blocks[first].start, blocks[min(first + per_pass, cut.stop) - 1].stop)
+        keys = [k[blocks[b].start - rows.start : blocks[b].stop - rows.start] for k in pass_keys(rows)]
         return score(_draw_block(model_x, model_y, n, seed, blocks[b], complete_data, top, keys))
 
     return np.concatenate(parallel.replicate_map(block_score, len(blocks), workers))

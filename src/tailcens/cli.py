@@ -10,15 +10,19 @@ identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
+
+# no tailcens code calls BLAS, so numpy's import need not start OpenBLAS's thread pool; a value the user set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # lazy module objects: each runs when a command first uses it, so --help loads no numpy
 from . import censored, distributions, estimators, harness, io, rules, selection, tailprocess
 
 ESTIMATE_CSV_HEADER = "estimator,k,value,p_hat,std_err,ci_lo,ci_hi"
 SELECT_CSV_HEADER = "k_star,theta,estimator"
-WORKERS_HELP = "integer >= 1, accepted but without effect: replicates run in order on one thread"
+WORKERS_HELP = "integer >= 1: gof forks its replicates over up to this many CPUs (same output); simulate runs in order"
 
 
 def _parsed(parse, text: str):

@@ -22,8 +22,6 @@ Estimator ids used across the CLI and the Monte Carlo harness:
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from numbers import Integral
 from typing import TYPE_CHECKING
@@ -261,10 +259,10 @@ _SPLIT_VALUES = 2**24  # terms, sum(k - 1) times rows, from which _new_path spli
 def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     # O(k) terms per k: a long path is cut into contiguous parts of equal sum(k - 1), one per CPU, each run by
     # _new_loop in a forked process.  A part's first k takes a fresh log row: the bits of the serial loop's reuse
-    if ks.size > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+    cpus = parallel._fork_parts(ks.size)
+    if cpus > 1:
         work = np.cumsum(ks - 1) * math.prod(s.z.shape[:-1])
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        if work[-1] >= _SPLIT_VALUES and cpus > 1:
+        if work[-1] >= _SPLIT_VALUES:
             parts = np.split(ks, np.searchsorted(work, work[-1] * np.arange(1, cpus) // cpus) + 1)
             return np.concatenate(parallel.fork_map(lambda part: _new_loop(s, part), [p for p in parts if p.size]), -1)
     return _new_loop(s, ks)

@@ -3,7 +3,8 @@
 Replicates run through ``censored._replicates``: replicate r draws its
 lifetimes from stream (seed, r, 0) and its censoring times from stream
 (seed, r, 1), or all its data from stream (seed, r) for complete data, so
-results are bit-identical across runs and for any ``workers`` value.
+results are bit-identical across runs and for any ``workers`` value (the
+most processes ``run_variance_check`` forks its replicate blocks over).
 Undefined estimator values (an estimator can fail at a given threshold on a
 given draw) are excluded from that cell's aggregation and counted instead.
 """
@@ -19,7 +20,7 @@ from .censored import _replicates
 from .distributions import HeavyTailModel, format_model
 from .estimators import _checked_id, _new_path, _sweep
 from .io import fmt
-from .rules import _check_count, _check_flag, _check_k
+from .rules import _check_count, _check_flag, _check_k, _check_workers
 
 __all__ = [
     "McConfig",
@@ -92,8 +93,10 @@ def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
     Replicates run through ``censored._replicates`` with rows sorted whole
     (``ww1``/``ww2`` read the whole Kaplan-Meier curve), one sweep call per
     estimator and block.  ``fold`` adds each block's err and err**2 to ``sums``
-    here, in O(block) memory: the blocks must run in order in this process.
+    here, in O(block) memory: the blocks must run in order in this process,
+    so ``workers`` is checked and the blocks run with ``workers=1``.
     """
+    _check_workers(workers)
     gamma1, ks = cfg.model_x.true_evi, np.array(cfg.k_grid)
     sums = np.zeros((2, len(cfg.estimators), ks.size))  # the nansums of err and err**2 so far
 
@@ -106,7 +109,7 @@ def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
             np.nansum(rows, axis=0, out=sums)
         return np.count_nonzero(~np.isnan(err), axis=0)[None]
 
-    counts = _replicates(cfg.model_x, cfg.model_y, cfg.n, cfg.reps, cfg.seed, fold, workers, cfg.complete_data).sum(0)
+    counts = _replicates(cfg.model_x, cfg.model_y, cfg.n, cfg.reps, cfg.seed, fold, 1, cfg.complete_data).sum(0)
     bias, mse = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return McResult(config=cfg, bias=bias, rmse=np.sqrt(mse), undefined_count=cfg.reps - counts)
 
@@ -127,7 +130,8 @@ def run_variance_check(
     variance (ddof 1) of sqrt(k) * (estimate - true index) across
     replicates.  Meant for exact power-law pairs, where the limit variance
     has no bias contamination.  Replicates run through
-    ``censored._replicates``, each row keeping only its top k+1 values.
+    ``censored._replicates`` over up to ``workers`` processes, each row
+    keeping only its top k+1 values.
     """
     _check_count(reps, 2, "reps")  # a sample variance needs two values
     _check_flag(complete_data, "complete_data")

@@ -1,25 +1,40 @@
-"""Ordered maps: replicate blocks on the calling thread, parts of a long kernel path over forked processes.
+"""Ordered maps over forked processes: replicate blocks, and parts of a long kernel path.
 
-``workers`` is checked but has no effect: threads only slowed replicates,
-whose small numpy steps serialize on the interpreter lock.
+A forked part returns only its results, so a function that adds into the caller's state runs with ``workers=1``.
 """
 
 import os
 import pickle
+import threading
 
 from .rules import _check_workers
 
 __all__ = ["replicate_map", "fork_map"]
 
 
-def replicate_map(fn, count: int, workers: int = 1) -> list:
-    """Apply ``fn`` to 0..count-1 in index order on the calling thread.
+def _fork_parts(limit: int) -> int:
+    """How many processes, at most ``limit``, work may be split over: one per CPU in the affinity mask.
 
-    ``censored._replicates`` maps it over replicate blocks; its docstring
-    holds the block contract.
+    It is 1 (run in the caller alone) where ``os.fork`` is missing or another thread is alive: forking that is unsafe.
     """
-    _check_workers(workers)
-    return [fn(r) for r in range(count)]
+    if limit < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(limit, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def _cuts(count: int, workers: int) -> list[range]:
+    """The contiguous index ranges ``replicate_map`` runs 0..count-1 in, one per process, in order."""
+    parts = _fork_parts(min(_check_workers(workers), count))
+    return [range(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+
+
+def replicate_map(fn, count: int, workers: int = 1) -> list:
+    """``[fn(r) for r in range(count)]`` for any ``workers``, each range of :func:`_cuts` run in index order.
+
+    The first range runs here and each other in a forked child (:func:`fork_map`).  ``censored._replicates`` maps it
+    over replicate blocks.
+    """
+    return [value for part in fork_map(lambda cut: [fn(r) for r in cut], _cuts(count, workers)) for value in part]
 
 
 def fork_map(fn, parts) -> list:

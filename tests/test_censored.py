@@ -119,6 +119,23 @@ class TestSort:
         with pytest.raises(ValueError, match=message):
             sort_censored(z, d)
 
+    @pytest.mark.parametrize(
+        "z,d,message",
+        [
+            ([[1, 2], [3, 4]], [[1, 0], [1, 1]], "z must be a 1-D array of numbers, got a 2-D array"),
+            ([1.0, 2.0], [[1, 0]], "delta must be a 1-D array of numbers, got a 2-D array"),
+            (5.0, 1, "z must be a 1-D array of numbers, got a 0-D array"),
+            (["1", "2"], [1, 0], "z must be a 1-D array of numbers"),
+            ([1.0, 2.0], ["1", "0"], "delta must be a 1-D array of numbers"),
+            ([True, True], [1, 0], "z must be a 1-D array of numbers, got a 1-D array of bool"),
+            ([1.0, 2.0j], [1, 0], "z must be a 1-D array of numbers"),
+        ],
+    )
+    def test_sample_rule_shape_and_type(self, z, d, message):
+        # a 2-D pair once came back as one sample of 4, and strings were parsed
+        with pytest.raises(ValueError, match=message):
+            sort_censored(z, d)
+
     def test_arrays_read_only(self):
         s = sort_censored([1.0, 2.0], [1, 0])
         with pytest.raises(ValueError):

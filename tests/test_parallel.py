@@ -6,36 +6,11 @@ import threading
 import numpy as np
 import pytest
 
-from tailcens import Pareto, generate_censored, gof_pvalue, sort_censored, stream
+from tailcens import (
+    DegenerateNullError, McConfig, Pareto, censored, generate_censored, gof_pvalue, rng, run_bias_rmse,
+    run_variance_check, sort_censored, stream, tailprocess,
+)
 from tailcens.parallel import fork_map, replicate_map
-
-
-def test_runs_in_index_order_on_the_calling_thread():
-    calls = []
-
-    def fn(r):
-        calls.append(r)
-        return r, threading.get_ident()
-
-    out = replicate_map(fn, 5, workers=4)
-    assert out == [(r, threading.get_ident()) for r in range(5)]
-    assert calls == [0, 1, 2, 3, 4]
-
-
-def test_numpy_integer_workers_accepted():
-    assert replicate_map(lambda r: r * r, 4, workers=np.int64(2)) == [0, 1, 4, 9]
-
-
-@pytest.mark.parametrize("workers", [0, -5, True, False, 2.5, "2", None])
-def test_invalid_workers_rejected(workers):
-    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
-        replicate_map(lambda r: r, 3, workers=workers)
-
-
-def test_library_callers_share_the_rule():
-    z, d = generate_censored(Pareto(1.0), Pareto(1.0), 150, stream(55))
-    with pytest.raises(ValueError, match="workers must be an integer >= 1, got -5"):
-        gof_pvalue(sort_censored(z, d), 30, reps=100, seed=0, workers=-5)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -62,6 +37,77 @@ def reaped(pid):
     except ChildProcessError:
         return True
     return False
+
+
+def test_runs_in_index_order_on_the_calling_thread():
+    calls = []
+
+    def fn(r):
+        calls.append(r)
+        return r, threading.get_ident()
+
+    out = replicate_map(fn, 5, workers=1)
+    assert out == [(r, threading.get_ident()) for r in range(5)]
+    assert calls == [0, 1, 2, 3, 4]
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@needs_fork
+@pytest.mark.parametrize("workers,count,ranges", [(2, 5, [[0, 1], [2, 3, 4]]), (3, 7, [[0, 1], [2, 3], [4, 5, 6]]),
+                                                  (4, 3, [[0], [1], [2]])])
+def test_forked_ranges_run_in_index_order_and_join_in_index_order(forks, monkeypatch, workers, count, ranges):
+    cpus(monkeypatch, 4)
+    calls = []  # each process appends to its own copy
+
+    def fn(r):
+        calls.append(r)
+        return os.getpid(), list(calls)
+
+    out = replicate_map(fn, count, workers)
+    assert len(forks) == len(ranges) - 1 and all(map(reaped, forks))
+    for part, pid in zip(ranges, [os.getpid(), *forks]):
+        assert [out[r] for r in part] == [(pid, part[: i + 1]) for i in range(len(part))]
+
+
+@pytest.mark.parametrize("why", ["one_worker", "one_cpu", "one_index", "second_thread"])
+def test_serial_cases_never_fork(monkeypatch, why):
+    def no_fork(*args):
+        raise AssertionError("forked")
+
+    cpus(monkeypatch, 1 if why == "one_cpu" else 2)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    count = 1 if why == "one_index" else 6
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    if why == "second_thread":
+        thread.start()
+    try:
+        out = replicate_map(lambda r: (r, threading.get_ident()), count, 1 if why == "one_worker" else 2)
+        assert out == [(r, threading.get_ident()) for r in range(count)]
+    finally:
+        release.set()
+        if why == "second_thread":
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+
+def test_numpy_integer_workers_accepted():
+    assert replicate_map(lambda r: r * r, 4, workers=np.int64(2)) == [0, 1, 4, 9]
+
+
+@pytest.mark.parametrize("workers", [0, -5, True, False, 2.5, "2", None])
+def test_invalid_workers_rejected(workers):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        replicate_map(lambda r: r, 3, workers=workers)
+
+
+def test_library_callers_share_the_rule():
+    z, d = generate_censored(Pareto(1.0), Pareto(1.0), 150, stream(55))
+    with pytest.raises(ValueError, match="workers must be an integer >= 1, got -5"):
+        gof_pvalue(sort_censored(z, d), 30, reps=100, seed=0, workers=-5)
 
 
 @needs_fork
@@ -111,3 +157,76 @@ def test_a_child_that_dies_is_reported(forks):
 def test_one_part_runs_here_without_a_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
     assert fork_map(lambda part: part + 1, [4]) == [5]
+
+
+# Replicate blocks forked over workers: n = 200 gives 81-row blocks, and a key pass
+# (_KEY_ROWS patched to 5 blocks) puts several passes in each process's range of blocks.
+N, REPS, PASS_ROWS = 200, 1_000, 405
+
+
+@pytest.fixture
+def blocks_split(forks, monkeypatch):
+    """Three CPUs and short key passes, so every ``workers`` value up to 3 forks; gives the forked pids."""
+    cpus(monkeypatch, 3)
+    monkeypatch.setattr(censored, "_KEY_ROWS", PASS_ROWS)
+    return forks
+
+
+def null_sample():
+    return sort_censored(*generate_censored(Pareto(1.0), Pareto(2.0), N, stream(12)))
+
+
+@needs_fork
+def test_gof_and_variance_check_bits_do_not_depend_on_workers(blocks_split):
+    s = null_sample()
+    gof = [gof_pvalue(s, 30, reps=REPS, seed=3, workers=w) for w in (1, 2, 3)]
+    var = [run_variance_check(Pareto(1.0), Pareto(2.0), N, 20, REPS, 3, workers=w) for w in (1, 2, 3)]
+    assert gof[0] == gof[1] == gof[2] and var[0] == var[1] == var[2]
+    assert len(blocks_split) == 2 * (1 + 2) and all(map(reaped, blocks_split))
+
+
+@needs_fork
+def test_a_degenerate_null_in_a_child_reaches_the_caller(blocks_split, monkeypatch):
+    here, fit_stats = os.getpid(), tailprocess._fit_stats
+
+    def fit_in_caller_only(v, k):
+        if os.getpid() != here:
+            raise DegenerateNullError("raised in a child")
+        return fit_stats(v, k)
+
+    monkeypatch.setattr(tailprocess, "_fit_stats", fit_in_caller_only)
+    with deadline(60), pytest.raises(DegenerateNullError, match="raised in a child"):
+        gof_pvalue(null_sample(), 30, reps=REPS, seed=3, workers=2)
+    assert len(blocks_split) == 1 and all(map(reaped, blocks_split))
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_process_derives_the_keys_of_its_own_rows(blocks_split, monkeypatch, tmp_path, workers):
+    log, keys = tmp_path / "keys.txt", rng._keys
+
+    def spy(seed, rows, *tail):  # one line per derivation, appended by whichever process derives
+        with open(log, "a") as fh:
+            fh.write(f"{tail[0]} {rows.start} {rows.stop}\n")
+        return keys(seed, rows, *tail)
+
+    monkeypatch.setattr(rng, "_keys", spy)
+    gof_pvalue(null_sample(), 30, reps=REPS, seed=3, workers=workers)
+    assert len(blocks_split) == workers - 1
+    derived = [line.split() for line in log.read_text().splitlines()]
+    for tail in "01":
+        rows = [r for t, lo, hi in derived if t == tail for r in range(int(lo), int(hi))]
+        assert sorted(rows) == list(range(REPS))
+
+
+def test_bias_rmse_runs_its_blocks_here_whatever_the_workers(monkeypatch):
+    cfg = McConfig(Pareto(1.0), Pareto(2.0), N, 300, (10, 40), ("new", "efg"), seed=2)
+    serial = run_bias_rmse(cfg, workers=1)
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+    two = run_bias_rmse(cfg, workers=2)
+    for got, want in zip((two.bias, two.rmse, two.undefined_count),
+                         (serial.bias, serial.rmse, serial.undefined_count)):
+        assert np.array_equal(got, want, equal_nan=True)
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        run_bias_rmse(cfg, workers=0)

@@ -128,3 +128,19 @@ def test_convert_loads_no_numpy(tmp_path):
     raw.write_text("start,end,status\n1990-01-01,1990-03-05,D\n1990-02-01,1990-02-01,A\n", encoding="utf-8")
     probe = _probe("convert", "--input", raw, "--out", tmp_path / "out.csv")
     assert probe["status"] == 0 and not probe["numpy"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_import_leaves_numpy_one_thread():
+    # no tailcens code calls BLAS: the CLI keeps OpenBLAS from starting its thread pool
+    env = {key: value for key, value in ENV.items() if key != "OPENBLAS_NUM_THREADS"}
+    code = "import tailcens.cli, numpy, os; print(len(os.listdir('/proc/self/task')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "1\n"), out.stderr
+
+
+def test_a_blas_thread_count_the_user_set_wins():
+    code = "import os, tailcens.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env={**ENV, "OPENBLAS_NUM_THREADS": "2"},
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "2\n"), out.stderr
