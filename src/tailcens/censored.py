@@ -121,10 +121,13 @@ def sort_censored(z, delta) -> SortedCensoredSample:
 
 
 def censor(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Pair a lifetime array with a censoring array: z = min, delta = 1{x <= y}."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.minimum(x, y), (x <= y).astype(np.int64)
+    """Pair a lifetime array with a censoring array: z = min, delta = 1{x <= y}; x and y of one shape, no NaN."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"x and y shapes differ: {x.shape} vs {y.shape}")
+    if np.isnan(z := np.minimum(x, y)).any():  # NaN in either input propagates to z
+        raise ValueError("x and y must hold no NaN")
+    return z, (x <= y).astype(np.int64)
 
 
 def _censored_rows(model_x: HeavyTailModel, model_y: HeavyTailModel, shape: tuple[int, int],
@@ -167,17 +170,15 @@ def _blocks(n: int, reps: int) -> list[range]:
 
 
 def _top_sorted(z: np.ndarray, delta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The top ``m`` of each row as ``_sorted`` orders the whole row, without sorting the rest."""
+    """The top ``m`` of each row as ``_sorted`` orders the whole row; only rows tied at the cut are sorted whole."""
     cut = z.shape[-1] - m
     if cut > 0:
         keep = np.argpartition(z, cut, axis=-1)[:, cut:]
         top_z, top_d = np.take_along_axis(z, keep, -1), np.take_along_axis(delta, keep, -1)
         # where the cut value ties a value left below it, deaths-first order
-        # decides which tied values are kept: such a row is sorted whole
+        # decides which tied values are kept: such rows are sorted whole
         tied = np.count_nonzero(z >= top_z.min(axis=-1, keepdims=True), axis=-1) > m
-        for i in np.flatnonzero(tied):
-            order = np.lexsort((1 - delta[i], z[i]))[cut:]
-            top_z[i], top_d[i] = z[i, order], delta[i, order]
+        top_z[tied], top_d[tied] = (a[:, cut:] for a in _sorted(z[tied], delta[tied])[:2])
         z, delta = top_z, top_d
     return _sorted(z, delta)
 

@@ -3,8 +3,8 @@
 Subcommands: ``simulate | estimate | select-k | gof | convert``.  All output
 is CSV with a header row, numbers at 6 significant digits, missing cells
 empty.  Exit status: 0 on success, 2 on usage errors, 1 on data or runtime
-errors.  Every random quantity is driven by an explicit ``--seed``, so
-identical invocations produce identical bytes.
+errors.  Every random quantity is driven by an explicit ``--seed`` (``gof``
+and ``simulate``), so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_count(0, "seed"), default=0, help="random seed, an integer >= 0 (default 0)")
+def _add_common(sub: argparse.ArgumentParser, draws: bool = False) -> None:
+    if draws:  # only the commands that draw take a seed
+        sub.add_argument("--seed", type=_count(0, "seed"), default=0, help="random seed, an integer >= 0 (default 0)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof.add_argument("--k", type=_count(2, "k"), required=True)
     p_gof.add_argument("--reps", type=_count(100, "reps"), default=500, help="null replications (default 500)")
     p_gof.add_argument("--workers", type=workers, default=1, help=WORKERS_HELP)
-    _add_common(p_gof)
+    _add_common(p_gof, draws=True)
     p_gof.set_defaults(func=_cmd_gof)
 
     p_sim = sub.add_parser("simulate", help="bias/RMSE Monte Carlo experiment")
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--complete", action="store_true", help="complete-data mode: no censoring drawn")
     p_sim.add_argument("--workers", type=workers, default=1, help=WORKERS_HELP)
-    _add_common(p_sim)
+    _add_common(p_sim, draws=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_conv = sub.add_parser("convert", help="turn start,end,status records into a z,delta CSV")

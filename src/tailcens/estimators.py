@@ -175,8 +175,8 @@ def attached_ci(estimator_id: str, value: float, p: float, k: int, level: float 
     if level is None:
         return None
     _check_level(level)  # a given level is checked whatever the estimator and the estimate
-    # value is NaN where undefined and 0 when the top k points tie the threshold
-    return asymptotic_ci(value, p, k, level) if estimator_id == "new" and p > 0 and value > 0 else None
+    # value is NaN where undefined, 0 when the top k points tie the threshold and inf when a log ratio overflows
+    return asymptotic_ci(value, p, k, level) if estimator_id == "new" and p > 0 and 0 < value < np.inf else None
 
 
 def min_valid_k(estimator_id: str) -> int:

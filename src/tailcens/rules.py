@@ -52,9 +52,9 @@ def _check_level(level):
 
 
 def _check_fit(gamma, p) -> None:
-    """Accept a fitted power tail: numbers gamma > 0 and p in (0, 1]; raise ValueError otherwise."""
-    if not (_is_number(gamma) and _is_number(p) and gamma > 0 and 0.0 < p <= 1.0):
-        raise ValueError(f"a fitted tail needs numbers gamma > 0 and p in (0, 1], got gamma={gamma!r}, p={p!r}")
+    """Accept a fitted power tail: numbers gamma finite and > 0, p in (0, 1]; raise ValueError otherwise."""
+    if not (_is_number(gamma) and _is_number(p) and 0 < gamma < math.inf and 0.0 < p <= 1.0):
+        raise ValueError(f"a fitted tail needs numbers gamma finite and > 0, p in (0, 1], got gamma={gamma!r}, p={p!r}")
 
 
 def _check_workers(workers) -> int:

@@ -64,27 +64,35 @@ class TailProcessCurve:
         return float(out) if np.ndim(out) == 0 else out
 
 
-def _atoms(s: SortedCensoredSample, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (1/k) * m / (S(m) + m/k) and positions Z(n-m)/t of the atoms m = 1..k-1, along the last axis."""
+def _atoms(s: SortedCensoredSample, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (1/k) * m / (S(m) + m/k) and positions Z(n-m)/t of the atoms m = 1..k-1, along the last axis.
+
+    Positions never rise with m, so ties are adjacent; the mask marks the
+    breakpoints, the last atom of each tie group above 1 (an atom tied with
+    the threshold never exceeds x*t).
+    """
     m = np.arange(1, k)
     zr = s._z_desc
-    return (m / (s.top_delta_prefix[..., : k - 1] + m / k)) / k, zr[..., 1:k] / zr[..., k, None]
+    positions = zr[..., 1:k] / zr[..., k, None]
+    mask = positions > 1.0
+    mask[..., :-1] &= positions[..., :-1] != positions[..., 1:]
+    return (m / (s.top_delta_prefix[..., : k - 1] + m / k)) / k, positions, mask
+
+
+def _steps(weights: np.ndarray, positions: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending breakpoints and levels along the last axis, of rows with the same number of breakpoints."""
+    # masks of reversed views give contiguous copies: numpy may compute powers of strided arrays with other bits
+    shape, ascending = mask.shape[:-1] + (-1,), mask[..., ::-1]
+    breakpoints = positions[..., ::-1][ascending].reshape(shape)
+    levels = np.zeros(breakpoints.shape[:-1] + (breakpoints.shape[-1] + 1,))
+    levels[..., :-1] = np.cumsum(weights, axis=-1)[..., ::-1][ascending].reshape(shape)
+    return breakpoints, levels
 
 
 def delta_curve(s: SortedCensoredSample, k: int) -> TailProcessCurve:
     """Exact piecewise representation of the tail step function."""
     _check_k(k, s.n, lo=2)
-    weights, positions = _atoms(s, k)
-    # positions Z(n-m)/t never rise with m, so the atoms above the threshold
-    # form a prefix (atoms tied with it never exceed x*t) and ties are adjacent
-    above = np.count_nonzero(positions > 1.0)
-    positions = positions[:above]
-    tie_end = np.ones(above, dtype=bool)  # the last atom of each tie group
-    np.not_equal(positions[:-1], positions[1:], out=tie_end[:-1])
-    last = np.flatnonzero(tie_end)[::-1]  # in ascending position order
-    breakpoints = positions[last]
-    levels = np.zeros(last.size + 1)
-    levels[:-1] = np.cumsum(weights[:above])[last]
+    breakpoints, levels = _steps(*_atoms(s, k))
     for arr in (breakpoints, levels):
         arr.setflags(write=False)
     return TailProcessCurve(breakpoints=breakpoints, levels=levels, k=int(k), n=s.n)
@@ -178,26 +186,19 @@ def _fit_stats(v: SortedCensoredSample, k: int) -> tuple[np.ndarray, np.ndarray,
     """KS, CvM and p_hat at k of each row of the block ``v``, against the tail fitted by ``hill`` and ``p_hat``.
 
     A row with nothing observed in its top k scores (inf, inf), maximal
-    misfit.  A row whose curve has all k-1 breakpoints (every tie-free row)
-    is scored with the others as one stack of curves; a row with ties goes
-    through :func:`delta_curve` alone.
+    misfit.  The other rows are scored in stacks of curves, one stack per
+    number of breakpoints, so tied rows stay in the block.
     """
     gamma = estimators._hill_path(v, np.array([k]))[:, 0]
     p = estimators._p_hat_path(v, k)
     ks, cvm = np.full(p.shape, np.inf), np.full(p.shape, np.inf)
-    weights, positions = _atoms(v, k)
-    whole = (positions[:, -1] > 1.0) & np.all(positions[:, :-1] != positions[:, 1:], axis=-1)
-    stack = whole & (p > 0.0)
-    if stack.any():
-        levels = np.zeros((np.count_nonzero(stack), k))
-        levels[:, :-1] = np.cumsum(weights[stack], axis=-1)[:, ::-1]
-        curve = TailProcessCurve(np.ascontiguousarray(positions[stack, ::-1]), levels, int(k), v.n)
-        g, q = gamma[stack, None], p[stack, None]
-        ks[stack], cvm[stack] = _ks_from_curve(curve, g, q), _cvm_from_curve(curve, g, q)
-    for i in np.flatnonzero(~whole & (p > 0.0)):
-        curve = delta_curve(SortedCensoredSample(v.z[i], v.delta[i], v.top_delta_prefix[i]), k)
-        g, q = float(gamma[i]), float(p[i])
-        ks[i], cvm[i] = _ks_from_curve(curve, g, q), _cvm_from_curve(curve, g, q)
+    weights, positions, mask = _atoms(v, k)
+    live, counts = p > 0.0, np.count_nonzero(mask, axis=-1)
+    for count in set(counts[live].tolist()):  # not np.unique, which imports numpy.ma
+        rows = live & (counts == count)
+        curve = TailProcessCurve(*_steps(weights[rows], positions[rows], mask[rows]), int(k), v.n)
+        g, q = gamma[rows, None], p[rows, None]
+        ks[rows], cvm[rows] = _ks_from_curve(curve, g, q), _cvm_from_curve(curve, g, q)
     return ks, cvm, p
 
 
@@ -214,8 +215,8 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
 
     Replicates run through ``censored._replicates``, whose docstring holds
     the block contract.  Each null row keeps only its top k+1 values, all
-    that the statistics read at k; tie-free rows are scored together, rows
-    with ties one at a time.  A null index so small that a null replicate's
+    that the statistics read at k; rows are scored in stacks by
+    :func:`_fit_stats`.  A null index so small that a null replicate's
     top k+1 values all tie (its ``hill`` is 0) raises DegenerateNullError.
     """
     _check_count(reps, 100, "reps")  # fewer leave no usable p-value

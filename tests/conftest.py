@@ -5,6 +5,14 @@ import pytest
 
 from tailcens import Burr, Frechet, LogGamma, Pareto, estimators, generate_censored, parallel, sort_censored, stream
 
+try:
+    from hypothesis import settings
+except ImportError:  # test_properties.py skips itself
+    pass
+else:  # fixed examples, so a run is reproducible and needs no example database
+    settings.register_profile("tailcens", derandomize=True, database=None, deadline=None, max_examples=60)
+    settings.load_profile("tailcens")
+
 
 @pytest.fixture
 def tiny5():

@@ -111,7 +111,7 @@ class TestGof:
         n, k, reps, seed = 200, 40, 100, 0
         s = oracle.draw(TIES, TIES, n, 3, 0)
         cut, curve = tie_counts([oracle.draw(*null_models(s, k), n, seed, r) for r in range(reps)], k)
-        assert cut > 0 and curve > 0  # both fallbacks decide rows
+        assert cut > 0 and curve > 0  # rows tie at the cut and in the curve
         assert_gof_equal(s, k, reps, seed)
 
     @pytest.mark.parametrize("lifetime,k", [(Frechet(1e-14), 40), (TIES, 40), (Burr(1.0, 2.0, 1.0), 150)])

@@ -21,6 +21,16 @@ class TestCensor:
         _, d = censor([2.0], [2.0])
         assert d.tolist() == [1]
 
+    @pytest.mark.parametrize("x,y", [([1.0, 2.0, 3.0], [5.0]), ([1.0], [[2.0]]), ([1.0, 2.0], [3.0, 4.0, 5.0])])
+    def test_shapes_must_match(self, x, y):
+        with pytest.raises(ValueError, match="x and y shapes differ"):
+            censor(x, y)
+
+    @pytest.mark.parametrize("x,y", [([np.nan], [1.0]), ([1.0], [np.nan]), ([2.0, 1.0], [np.inf, np.nan])])
+    def test_nan_rejected(self, x, y):
+        with pytest.raises(ValueError, match="no NaN"):
+            censor(x, y)
+
 
 class TestGenerate:
     def test_deterministic(self):

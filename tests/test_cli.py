@@ -90,6 +90,13 @@ class TestEstimate:
         assert main(["estimate", "--input", str(tmp_path / "nope.csv"), "--k", "2"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [["estimate", "--k", "2"], ["select-k"], ["convert"]])
+    def test_seed_only_where_the_command_draws(self, tiny5_csv, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--input", str(tiny5_csv), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestEstimateCi:
     def test_no_ci_when_value_is_zero(self, tie_csv, capsys):
@@ -106,6 +113,13 @@ class TestEstimateCi:
         run_ok(["estimate", "--input", path, "--k", "2", "--estimator", "new", "--ci", "0.95"])
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[3] == "0" and float(row[2]) > 0 and row[4:] == ["", "", ""]
+
+    def test_no_ci_when_value_is_infinite(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        write_censored_csv(path, [1e-300, 1e-300, 2e-300, 1e300, 1.5e300, 1.7e300], [1] * 6)
+        with np.errstate(over="ignore"):
+            run_ok(["estimate", "--input", path, "--k", "3", "--estimator", "new", "--ci", "0.95"])
+        assert capsys.readouterr().out.splitlines()[1] == "new,3,inf,1,,,"
 
 
 class TestSelectK:

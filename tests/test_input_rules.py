@@ -412,11 +412,11 @@ class TestFittedTailRule:
     """asymptotic_ci and the fit statistics share one rule for (gamma, p)."""
 
     BAD = [(0.5, "0.5"), ("0.5", 0.5), (True, 0.5), (0.5, True), (0.5, 1.5), (0.5, 0.0), (0.0, 0.5),
-           (-0.2, 0.5), (float("nan"), 0.5), (0.5, float("nan")), (None, 0.5)]
+           (-0.2, 0.5), (float("nan"), 0.5), (0.5, float("nan")), (None, 0.5), (float("inf"), 0.5)]
 
     def test_message(self):
         assert _message(lambda v: _check_fit(*v), (0.5, 1.5)) == (
-            "a fitted tail needs numbers gamma > 0 and p in (0, 1], got gamma=0.5, p=1.5"
+            "a fitted tail needs numbers gamma finite and > 0, p in (0, 1], got gamma=0.5, p=1.5"
         )
 
     @pytest.mark.parametrize("gamma,p", BAD)

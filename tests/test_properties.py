@@ -1,0 +1,78 @@
+"""Property tests of the tail-curve builder and the tie order on tie-heavy blocks.
+
+Blocks mix integer days, which tie within and across rows, with continuous
+values.  The block kernels must give each row the bits of a lone sample, and
+the top cut of a row must keep the values and indicators that a sort of the
+whole row keeps, ties at the cut included.
+"""
+
+import numpy as np
+import oracle
+import pytest
+from test_input_rules import _reference_curve
+
+from tailcens import delta_curve, hill, integrate_delta, new_weighted, p_hat, sort_censored
+from tailcens.censored import SortedCensoredSample, _sorted, _top_sorted
+from tailcens.tailprocess import _fit_stats
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+_VALUES = st.one_of(st.integers(1, 6).map(float), st.floats(0.5, 1e3))
+
+
+@st.composite
+def blocks(draw, max_rows=5):
+    """(z, delta, k): a block of 1..max_rows rows of n = 3..60 values, and a threshold 2 <= k <= n - 1."""
+    n, rows = draw(st.integers(3, 60)), draw(st.integers(1, max_rows))
+    z = draw(arrays(np.float64, (rows, n), elements=_VALUES))
+    delta = draw(arrays(np.int64, (rows, n), elements=st.integers(0, 1)))
+    return z, delta, draw(st.integers(2, n - 1))
+
+
+def lone(z, delta, i):
+    return sort_censored(z[i], delta[i])
+
+
+@given(blocks(), st.data())
+def test_top_cut_keeps_the_top_of_the_whole_sort(block, data):
+    z, delta, _ = block
+    m = data.draw(st.integers(1, z.shape[-1]))
+    top, whole = _top_sorted(z, delta, m), _sorted(z, delta)
+    for got, want in zip(top, (whole[0][:, -m:], whole[1][:, -m:], whole[2][:, :m])):
+        assert np.array_equal(got, want)
+
+
+@given(blocks(max_rows=8))
+def test_block_fit_stats_are_lone_fit_stats(block):
+    z, delta, k = block
+    samples = [lone(z, delta, i) for i in range(z.shape[0])]
+    # a fit with p_hat > 0 needs hill > 0: gof_pvalue raises DegenerateNullError on any other row
+    scored = [i for i, s in enumerate(samples) if p_hat(s, k) == 0.0 or hill(s, k) > 0.0]
+    if not scored:
+        return
+    v = SortedCensoredSample(*_top_sorted(z[scored], delta[scored], k + 1))
+    ks, cvm, p = _fit_stats(v, k)
+    for row, i in enumerate(scored):
+        assert (ks[row], cvm[row], p[row]) == (*oracle.fit_stats(samples[i], k), p_hat(samples[i], k))
+
+
+@given(blocks(max_rows=1))
+def test_delta_curve_is_the_grouped_reference(block):
+    z, delta, k = block
+    s = lone(z, delta, 0)
+    curve = delta_curve(s, k)
+    breakpoints, levels = _reference_curve(s, k)
+    assert np.array_equal(curve.breakpoints, breakpoints)
+    np.testing.assert_allclose(curve.levels, levels, rtol=1e-13, atol=0)
+
+
+@given(blocks(max_rows=1))
+def test_curve_integral_is_new(block):
+    z, delta, k = block
+    s = lone(z, delta, 0)
+    got, want = integrate_delta(delta_curve(s, k)), new_weighted(s, k)
+    assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
