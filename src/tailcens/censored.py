@@ -103,7 +103,7 @@ def sort_censored(z, delta) -> SortedCensoredSample:
     Tied observations are ordered with the uncensored ones (delta = 1)
     first, the usual survival convention of deaths preceding censorings at
     equal times.  The sample rule: nonempty 1-D numeric arrays of one length
-    (bools allowed in ``delta``), ``z`` finite and > 0, ``delta`` 0 or 1.
+    (bools allowed in ``delta``), ``z`` finite, > 0 and of finite max/min, ``delta`` 0 or 1.
     """
     z, delta = np.asarray(z), np.asarray(delta)
     for name, arr, kinds in (("z", z, "iuf"), ("delta", delta, "biuf")):
@@ -114,6 +114,8 @@ def sort_censored(z, delta) -> SortedCensoredSample:
     if z.size != delta.size:
         raise ValueError(f"z and delta lengths differ: {z.size} vs {delta.size}")
     _check_observations(z)
+    if (hi := float(z.max())) / (lo := float(z.min())) == np.inf:  # bounds every ratio an estimator takes
+        raise ValueError(f"the largest observation over the smallest must be a finite ratio, got {hi!r} / {lo!r}")
     # checked before the integer cast, which would truncate e.g. 0.5 to 0
     if not np.all((delta == 0) | (delta == 1)):
         raise ValueError("censoring indicators must be 0 or 1")

@@ -175,7 +175,7 @@ def attached_ci(estimator_id: str, value: float, p: float, k: int, level: float 
     if level is None:
         return None
     _check_level(level)  # a given level is checked whatever the estimator and the estimate
-    # value is NaN where undefined, 0 when the top k points tie the threshold and inf when a log ratio overflows
+    # value is NaN where undefined, 0 when the top k points tie the threshold, inf only past sort_censored's ratio rule
     return asymptotic_ci(value, p, k, level) if estimator_id == "new" and p > 0 and 0 < value < np.inf else None
 
 

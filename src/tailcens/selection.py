@@ -13,16 +13,20 @@ terms (a one-term deviation sum is identically zero and would always win).
 Ties go to the smaller k, and the running median of an even-sized set is
 its lower middle element, so the whole selection is deterministic.
 
-The scan is one O(n log n) pass over the path in k order.  Each defined
-term enters Fenwick trees over the value ranks that sum its count, its
-weight w = i**theta and w * (gamma(i) - c); binary lifting on the count tree
-finds the lower median m and the sums W<= and A<= over the ranks up to it,
-and with the totals W and A and m' = m - c,
-k * crit(k) = (m' * W<= - A<=) + ((A - A<=) - m' * (W - W<=)).  The
-centering c is the first defined path term.  Without it the brackets would
-subtract sums of the raw estimates, whose rounding can exceed the
-deviations on a nearly flat path and so pick k; with it, an exactly
-constant path gives 0 at every k, and the tie rule picks k_min.
+The scan is O(n log n).  Defined terms enter, in k order, Fenwick trees
+over their value ranks that sum each term's count, its weight w = i**theta
+and w * (gamma(i) - c); binary lifting on the count tree finds the lower
+median m and the sums W<= and A<= up to it, and with the totals W and A and
+m' = m - c, k * crit(k) = (m' * W<= - A<=) + ((A - A<=) - m' * (W - W<=)).
+The centering c is the first defined term: without it the brackets would
+subtract sums of raw estimates, whose rounding can exceed the deviations on
+a nearly flat path; with it, a constant path gives 0 at every k and the tie
+rule picks k_min.  The lifting runs for every k at once, one numpy pass per
+tree level, widest first, with the bits of a loop over k (``tests/oracle.py``):
+a node's sums after T entries add its members' values one at a time in entry
+order after 0.0, as ``np.add.accumulate`` along a (node, member) grid does;
+its count is a ``searchsorted``; each k adds the nodes it steps over in the
+loop's order, and the totals are a sequential ``np.cumsum``.
 """
 
 from __future__ import annotations
@@ -46,39 +50,33 @@ def _scan(path_ks: np.ndarray, path: np.ndarray, theta: float, k_min: int) -> np
     defined = np.flatnonzero(~np.isnan(path))
     values = path[defined] - path[defined[0]]  # centered: see the module docstring
     weights = path_ks[defined].astype(float) ** theta
-    order = np.argsort(values, kind="stable")
-    rank = np.zeros(path.size, dtype=np.int64)  # 1-based value rank of each defined term, 0 where undefined
-    rank[defined[order]] = np.arange(1, order.size + 1)
-    value_at, w_at, wv_at = values[order].tolist(), weights[order].tolist(), (weights * values)[order].tolist()
-    size = order.size
-    count, w_tree, wv_tree = [0] * (size + 1), [0.0] * (size + 1), [0.0] * (size + 1)
-    terms, w_total, wv_total = 0, 0.0, 0.0
+    at = np.stack((weights, weights * values))  # w and w * v of each term, by entry index
+    order = np.argsort(values, kind="stable")  # order[r]: entry index of the term of 0-based value rank r
+    size, entered = order.size, np.cumsum(~np.isnan(path))
+    ask = (path_ks >= k_min) & (entered >= 2)  # not below the grid, nor a prefix whose deviation sum is 0
+    ks, terms = path_ks[ask], entered[ask]
+    # binary lifting to the last rank before the lower median, summing the trees on the way
+    pos, need, le = np.zeros(ks.size, dtype=np.int64), (terms - 1) // 2 + 1, np.zeros((2, ks.size))
+    step = 1 << (size.bit_length() - 1)
+    while step:
+        # node j of this level holds the ranks 2*j*step .. 2*j*step + step - 1: row j, its members' entries in order
+        nodes = np.arange((size // step + 1) // 2)[:, None]
+        entries = np.sort(order[2 * step * nodes + np.arange(step)], axis=1)
+        sums = np.add.accumulate(np.concatenate((np.zeros((2, nodes.size, 1)), at[:, entries]), axis=2), axis=2)
+        q = np.flatnonzero(pos + step <= size)
+        node = pos[q] // (2 * step)
+        count = np.searchsorted((entries + size * nodes).ravel(), node * size + terms[q]) - node * step
+        go = count < need[q]
+        q, node, count = q[go], node[go], count[go]
+        pos[q] += step
+        need[q] -= count
+        le[:, q] += sums[:, node, count]
+        step >>= 1
+    le += at[:, order[pos]]
+    totals = np.cumsum(np.concatenate((np.zeros((2, 1)), at), axis=1), axis=1)[:, terms]  # W and A at each k
+    (w_le, wv_le), (w_total, wv_total), median = le, totals, values[order[pos]]
     criterion = np.full(path_ks[-1] - k_min + 1, np.nan)
-    for k, r in zip(path_ks.tolist(), rank.tolist()):
-        if r:
-            w, wv = w_at[r - 1], wv_at[r - 1]
-            terms, w_total, wv_total = terms + 1, w_total + w, wv_total + wv
-            while r <= size:
-                count[r] += 1
-                w_tree[r] += w
-                wv_tree[r] += wv
-                r += r & -r
-        if k < k_min or terms < 2:
-            continue  # below the grid, or a degenerate prefix whose deviation sum is identically 0
-        # binary lifting to the last rank before the lower median, summing the trees on the way
-        pos, need, w_le, wv_le = 0, (terms - 1) // 2 + 1, 0.0, 0.0
-        step = 1 << (size.bit_length() - 1)
-        while step:
-            if pos + step <= size and count[pos + step] < need:
-                pos += step
-                need -= count[pos]
-                w_le += w_tree[pos]
-                wv_le += wv_tree[pos]
-            step >>= 1
-        median = value_at[pos]
-        w_le += w_at[pos]
-        wv_le += wv_at[pos]
-        criterion[k - k_min] = ((median * w_le - wv_le) + ((wv_total - wv_le) - median * (w_total - w_le))) / k
+    criterion[ks - k_min] = ((median * w_le - wv_le) + ((wv_total - wv_le) - median * (w_total - w_le))) / ks
     return criterion
 
 

@@ -1,9 +1,14 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from tailcens import Burr, Frechet, LogGamma, Pareto, estimators, generate_censored, parallel, sort_censored, stream
+
+# hypothesis writes what it learns under the working directory unless told otherwise; it reads this
+# variable when it first touches that storage, after conftest has run, so the tree stays clean
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "tailcens-hypothesis"))
 
 try:
     from hypothesis import settings

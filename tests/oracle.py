@@ -10,6 +10,9 @@ The replicate references at the end run one Python-level pipeline per
 Monte Carlo replicate, built from the public one-sample functions; the
 block replicate engine behind ``gof_pvalue``, ``run_bias_rmse`` and
 ``run_variance_check`` is checked against them bit for bit.
+
+``scan`` is the threshold-selection criterion as a Fenwick-tree loop over
+k, the bitwise reference of the level-by-level ``selection._scan``.
 """
 
 import numpy as np
@@ -128,3 +131,47 @@ def variance_check(model_x, model_y, n, k, reps, seed, complete_data=False):
     values = np.asarray([tc.new_weighted(draw(model_x, model_y, n, seed, r, complete_data), k) for r in range(reps)])
     scaled = np.sqrt(k) * (values - model_x.true_evi)
     return float(values.mean()), float(scaled.var(ddof=1))
+
+
+def scan(path_ks: np.ndarray, path: np.ndarray, theta: float, k_min: int) -> np.ndarray:
+    """selection._scan as a Fenwick-tree loop over k, one insertion and one binary lifting per k.
+
+    The library runs every k at once, level by level; it must give these bits.
+    """
+    defined = np.flatnonzero(~np.isnan(path))
+    values = path[defined] - path[defined[0]]  # centered: see selection's module docstring
+    weights = path_ks[defined].astype(float) ** theta
+    order = np.argsort(values, kind="stable")
+    rank = np.zeros(path.size, dtype=np.int64)  # 1-based value rank of each defined term, 0 where undefined
+    rank[defined[order]] = np.arange(1, order.size + 1)
+    value_at, w_at, wv_at = values[order].tolist(), weights[order].tolist(), (weights * values)[order].tolist()
+    size = order.size
+    count, w_tree, wv_tree = [0] * (size + 1), [0.0] * (size + 1), [0.0] * (size + 1)
+    terms, w_total, wv_total = 0, 0.0, 0.0
+    criterion = np.full(path_ks[-1] - k_min + 1, np.nan)
+    for k, r in zip(path_ks.tolist(), rank.tolist()):
+        if r:
+            w, wv = w_at[r - 1], wv_at[r - 1]
+            terms, w_total, wv_total = terms + 1, w_total + w, wv_total + wv
+            while r <= size:
+                count[r] += 1
+                w_tree[r] += w
+                wv_tree[r] += wv
+                r += r & -r
+        if k < k_min or terms < 2:
+            continue  # below the grid, or a degenerate prefix whose deviation sum is identically 0
+        # binary lifting to the last rank before the lower median, summing the trees on the way
+        pos, need, w_le, wv_le = 0, (terms - 1) // 2 + 1, 0.0, 0.0
+        step = 1 << (size.bit_length() - 1)
+        while step:
+            if pos + step <= size and count[pos + step] < need:
+                pos += step
+                need -= count[pos]
+                w_le += w_tree[pos]
+                wv_le += wv_tree[pos]
+            step >>= 1
+        median = value_at[pos]
+        w_le += w_at[pos]
+        wv_le += wv_at[pos]
+        criterion[k - k_min] = ((median * w_le - wv_le) + ((wv_total - wv_le) - median * (w_total - w_le))) / k
+    return criterion

@@ -146,6 +146,12 @@ class TestSort:
         with pytest.raises(ValueError, match=message):
             sort_censored(z, d)
 
+    def test_overflowing_ratio_rejected(self):
+        # every value is finite, but 1.7e300 / 1e-300 is not: hill and new would be inf
+        with pytest.raises(ValueError, match="finite ratio, got 1.7e\\+300 / 1e-300"):
+            sort_censored([1e-300, 1e-300, 2e-300, 1e300, 1.5e300, 1.7e300], [1] * 6)
+        assert sort_censored([1e-300, 1e7], [1, 1]).n == 2  # a wide but finite ratio is kept
+
     def test_arrays_read_only(self):
         s = sort_censored([1.0, 2.0], [1, 0])
         with pytest.raises(ValueError):

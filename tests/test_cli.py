@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,12 +116,14 @@ class TestEstimateCi:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[3] == "0" and float(row[2]) > 0 and row[4:] == ["", "", ""]
 
-    def test_no_ci_when_value_is_infinite(self, tmp_path, capsys):
+    def test_overflowing_ratio_is_data_error(self, tmp_path, capsys):
+        # every value is finite, but max/min overflows: hill and new would be inf, behind numpy overflow warnings
         path = tmp_path / "overflow.csv"
-        write_censored_csv(path, [1e-300, 1e-300, 2e-300, 1e300, 1.5e300, 1.7e300], [1] * 6)
-        with np.errstate(over="ignore"):
-            run_ok(["estimate", "--input", path, "--k", "3", "--estimator", "new", "--ci", "0.95"])
-        assert capsys.readouterr().out.splitlines()[1] == "new,3,inf,1,,,"
+        path.write_text("z,delta\n" + "".join(f"{z!r},1\n" for z in (1e-300, 1e-300, 2e-300, 1e300, 1.5e300, 1.7e300)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["estimate", "--input", str(path), "--k", "3", "--estimator", "hill,new", "--ci", "0.95"]) == 1
+        assert "finite ratio" in capsys.readouterr().err
 
 
 class TestSelectK:

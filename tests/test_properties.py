@@ -3,7 +3,9 @@
 Blocks mix integer days, which tie within and across rows, with continuous
 values.  The block kernels must give each row the bits of a lone sample, and
 the top cut of a row must keep the values and indicators that a sort of the
-whole row keeps, ties at the cut included.
+whole row keeps, ties at the cut included.  The threshold-selection scan,
+run for every k at once, must give the Fenwick loop's bits on paths whose
+values tie and whose holes fall anywhere.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from test_input_rules import _reference_curve
 
 from tailcens import delta_curve, hill, integrate_delta, new_weighted, p_hat, sort_censored
 from tailcens.censored import SortedCensoredSample, _sorted, _top_sorted
+from tailcens.selection import _scan
 from tailcens.tailprocess import _fit_stats
 
 pytest.importorskip("hypothesis")
@@ -76,3 +79,21 @@ def test_curve_integral_is_new(block):
     s = lone(z, delta, 0)
     got, want = integrate_delta(delta_curve(s, k)), new_weighted(s, k)
     assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
+
+
+@st.composite
+def paths(draw):
+    """(path_ks, path, k_min): a path of 2..300 terms from a few values, NaN holes anywhere, one term defined."""
+    size, start = draw(st.integers(2, 300)), draw(st.integers(1, 2))
+    path = draw(arrays(np.float64, size, elements=st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 3.0])))
+    holes = draw(arrays(np.bool_, size))
+    holes[draw(st.integers(0, size - 1))] = False
+    path[holes] = np.nan
+    return np.arange(start, start + size), path, draw(st.integers(2, start + size - 1))
+
+
+@given(paths(), st.floats(0.0, 0.5))
+def test_scan_is_the_fenwick_loop(case, theta):
+    path_ks, path, k_min = case
+    got, want = _scan(path_ks, path, theta, k_min), oracle.scan(path_ks, path, theta, k_min)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

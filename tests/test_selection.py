@@ -1,9 +1,12 @@
 import math
 
 import numpy as np
+import oracle
 import pytest
 
-from tailcens import Pareto, reiss_thomas_k, sort_censored, stream, sweep
+from tailcens import Burr, Pareto, generate_censored, reiss_thomas_k, sort_censored, stream, sweep
+from tailcens.estimators import min_valid_k
+from tailcens.selection import _scan
 
 
 def constant_hill_sample(n=40, c=0.5, top=5.0):
@@ -113,3 +116,65 @@ class TestReissThomas:
         s = sample_factory(0, n=60)
         with pytest.raises(ValueError):
             reiss_thomas_k(s, "hill", **kwargs)
+
+
+def assert_scan_bits(path_ks, path, theta, k_min):
+    """_scan, every k at once, has the bits of the Fenwick loop over k, NaN in the same places."""
+    got, want = _scan(path_ks, path, theta, k_min), oracle.scan(path_ks, path, theta, k_min)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def day_paths():
+    """efg and new paths of n = 20 000 heavy-tailed lifetimes rounded up to whole days, so values tie."""
+    z, delta = generate_censored(Burr(1.0, 2.0, 1.0), Burr(1.0, 2.0, 0.75), 20_000, stream(18))
+    s = sort_censored(np.ceil(60.0 * z), delta)
+    assert np.unique(s.z).size < s.n // 10
+    paths = {}
+    for estimator_id in ("efg", "new"):
+        path_ks = np.arange(min_valid_k(estimator_id), s.n)
+        paths[estimator_id] = path_ks, sweep(s, estimator_id, path_ks)
+    return paths
+
+
+class TestScanBits:
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("estimator_id", ["efg", "new"])
+    def test_tie_heavy_days(self, day_paths, estimator_id, theta):
+        path_ks, path = day_paths[estimator_id]
+        assert_scan_bits(path_ks, path, theta, 2)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
+    def test_nan_holes(self, theta):
+        nan = np.nan
+        # leading NaNs, then a prefix with one defined term, then holes between tied and distinct values
+        path = np.array([nan, nan, nan, 0.4, nan, nan, 0.7, 0.7, nan, 0.2, 0.4, nan, 0.9, 0.1, nan, 0.4])
+        assert_scan_bits(np.arange(1, path.size + 1), path, theta, 2)
+        assert_scan_bits(np.arange(2, path.size + 2), path, theta, 2)
+        rng = stream(181)
+        for size in (2, 3, 7, 64, 65, 500):
+            path = rng.integers(0, 6, size) * 0.125 + 0.5
+            path[rng.random(size) < 0.4] = nan
+            path[-1] = 0.75  # at least one defined term
+            assert_scan_bits(np.arange(2, size + 2), path, theta, 2)
+
+    def test_prefix_below_two_terms_is_nan(self):
+        path = np.array([np.nan, 0.3, np.nan, 0.5, 0.2])
+        criterion = _scan(np.arange(2, 7), path, 0.3, 2)
+        assert np.isnan(criterion[:3]).all() and not np.isnan(criterion[3:]).any()
+        assert_scan_bits(np.arange(2, 7), path, 0.3, 2)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
+    def test_constant_path(self, theta):
+        path = np.full(300, 0.7)
+        criterion = _scan(np.arange(1, 301), path, theta, 2)
+        assert np.all(criterion == 0.0)
+        assert_scan_bits(np.arange(1, 301), path, theta, 2)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
+    def test_k_min_above_the_first_defined_k(self, theta):
+        path = Pareto(1.0).sample(400, stream(182))
+        path[[0, 5, 6, 100]] = np.nan
+        for k_min in (3, 10, 257, 399, 400):
+            assert_scan_bits(np.arange(1, 401), path, theta, k_min)
