@@ -85,11 +85,6 @@ class SortedCensoredSample:
         return _read_only(np.cumprod(factors, axis=-1)[..., ::-1])
 
 
-def _check_observations(z: np.ndarray) -> None:
-    if not np.all(np.isfinite(z)) or np.any(z <= 0):
-        raise ValueError("all observations must be finite and > 0")
-
-
 def _sorted(z: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending order along the last axis with deaths first on ties, and the top-down uncensored counts."""
     order = np.lexsort((1 - delta, z), axis=-1)
@@ -113,7 +108,8 @@ def sort_censored(z, delta) -> SortedCensoredSample:
         raise ValueError("sample must be nonempty")
     if z.size != delta.size:
         raise ValueError(f"z and delta lengths differ: {z.size} vs {delta.size}")
-    _check_observations(z)
+    if not np.all(np.isfinite(z)) or np.any(z <= 0):
+        raise ValueError("all observations must be finite and > 0")
     if (hi := float(z.max())) / (lo := float(z.min())) == np.inf:  # bounds every ratio an estimator takes
         raise ValueError(f"the largest observation over the smallest must be a finite ratio, got {hi!r} / {lo!r}")
     # checked before the integer cast, which would truncate e.g. 0.5 to 0
@@ -132,13 +128,19 @@ def censor(x, y) -> tuple[np.ndarray, np.ndarray]:
     return z, (x <= y).astype(np.int64)
 
 
-def _censored_rows(model_x: HeavyTailModel, model_y: HeavyTailModel, shape: tuple[int, int],
-                   rngs_x, rngs_y) -> tuple[np.ndarray, np.ndarray]:
-    """Censored draws of ``shape`` (rows, n): row i's lifetimes from the i-th of ``rngs_x``, censoring from ``rngs_y``."""
-    x = model_x._rows(np.empty(shape), rngs_x)
+def _draw(model_x: HeavyTailModel, model_y: HeavyTailModel, shape: tuple[int, int], rngs_x,
+          rngs_y=None) -> tuple[np.ndarray, np.ndarray]:
+    """The one draw path: row i from the i-th of ``rngs_x`` and ``rngs_y`` (None: complete data), checked, censored."""
+    with np.errstate(over="ignore"):  # the checks below, as generate_censored states them, catch each overflow
+        x = model_x._rows(np.empty(shape), rngs_x)
+        y = None if rngs_y is None else model_y._rows(np.empty(shape), rngs_y)
     if not np.all(np.isfinite(x) & (x > 0)):
         raise ValueError(f"{model_x!r} drew lifetimes outside (0, inf): its parameters are too extreme to simulate")
-    return censor(x, model_y._rows(np.empty(shape), rngs_y))
+    if y is None:
+        return x, np.ones(shape, dtype=np.int64)
+    if not np.all(y > 0):  # also NaN
+        raise ValueError(f"{model_y!r} drew censoring times <= 0: its parameters are too extreme to simulate")
+    return censor(x, y)
 
 
 def generate_censored(
@@ -151,12 +153,12 @@ def generate_censored(
 
     The lifetime and censoring draws come from two child streams spawned
     from ``rng``, so the pair is reproducible from the parent stream's key
-    alone.  A lifetime that overflows to inf (or underflows to 0) raises
-    ValueError naming ``model_x``; a censoring time that overflows to inf
-    is kept, since it observes its lifetime.
+    alone.  A lifetime that overflows to inf or underflows to 0 raises
+    ValueError naming ``model_x``, a censoring time that underflows to 0 one
+    naming ``model_y``; one that overflows to inf observes its lifetime.
     """
     rng_x, rng_y = rng.spawn(2)
-    z, delta = _censored_rows(model_x, model_y, (1, _check_count(n, 1, "n")), [rng_x], [rng_y])
+    z, delta = _draw(model_x, model_y, (1, _check_count(n, 1, "n")), [rng_x], [rng_y])
     return z[0], delta[0]
 
 
@@ -194,18 +196,13 @@ def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: 
                 complete_data: bool = False, top: int | None = None, keys=None) -> SortedCensoredSample:
     """Replicates ``block`` of size ``n`` as rows, row j drawn from stream (seed, block[j]) as a lone replicate is.
 
-    All lifetimes observed (drawn from the stream itself), or censored as
-    ``generate_censored`` censors; each row sorted whole, or cut to its
+    All lifetimes observed (drawn from the stream itself), or censored; both
+    drawn and checked by :func:`_draw`; each row sorted whole, or cut to its
     ``top`` largest values.  ``keys``, the block's :func:`_stream_keys`, are
     derived here when not given.
     """
     rngs = [rng._keyed(k) for k in (_stream_keys(seed, block, complete_data) if keys is None else keys)]
-    if complete_data:
-        z = model_x._rows(np.empty((len(block), n)), rngs[0])
-        delta = np.ones(z.shape, dtype=np.int64)
-    else:
-        z, delta = _censored_rows(model_x, model_y, (len(block), n), *rngs)
-    _check_observations(z)
+    z, delta = _draw(model_x, model_y, (len(block), n), *rngs)
     return SortedCensoredSample(*map(_read_only, _sorted(z, delta) if top is None else _top_sorted(z, delta, top)))
 
 

@@ -356,7 +356,7 @@ def _sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     """:func:`sweep` on a checked id; on a block of replicate samples, one row of values per sample."""
     path, lo, _ = _PATHS[estimator_id]
     ks = ks if isinstance(ks, np.ndarray) else np.asarray(ks, dtype=object)  # numpy would read [5, True] as ints
-    if ks.dtype.kind not in "iu":
+    if ks.dtype.kind != "i":  # unsigned too: an int64 cast would wrap a uint64 beyond int64 to a negative k
         for k in ks.ravel().tolist():
             if isinstance(k, bool) or not (isinstance(k, Integral) and -(2**63) <= k < 2**63):
                 _check_k(k, s.n, lo)  # raises at the first float, bool or beyond-int64 threshold

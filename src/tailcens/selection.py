@@ -100,6 +100,8 @@ def reiss_thomas_k(
 ) -> KSelection:
     """Pick the threshold count minimizing the path-stability criterion."""
     n = s.n
+    if n < 4:  # 2 <= k_min < k_max <= n - 1 has no solution
+        raise ValueError(f"threshold selection needs a sample of n >= 4, got n = {n}")
     _check_theta(theta)
     _check_k(k_min, n, lo=2, hi=n - 2, name="k_min")
     k_max = n - 1 if k_max is None else _check_k(k_max, n, lo=k_min + 1, name="k_max")

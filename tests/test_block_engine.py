@@ -104,8 +104,7 @@ class TestGof:
         d[np.argmax(z)] = 0
         s = sort_censored(z, d)
         assert rows(n) == 1
-        with np.errstate(over="ignore"):
-            assert_gof_equal(s, k, 100, 0)
+        assert_gof_equal(s, k, 100, 0)
 
     def test_ties_at_the_cut_and_in_the_curve(self):
         n, k, reps, seed = 200, 40, 100, 0
@@ -157,8 +156,13 @@ class TestBiasRmse:
 
     def test_lifetime_overflow_names_the_model(self):
         model = Frechet(200.0)
-        with np.errstate(over="ignore", divide="ignore"), pytest.raises(ValueError, match=re.escape(repr(model))):
+        with pytest.raises(ValueError, match=re.escape(repr(model))):
             run_bias_rmse(config(model, Pareto(1.0), 200, 100))
+
+    def test_complete_data_lifetime_outside_positive_reals_names_the_model(self):
+        model = Burr(1.0, 0.01, 1.0)  # its lifetimes underflow to 0 and overflow to inf
+        with pytest.raises(ValueError, match=re.escape(repr(model))):
+            run_bias_rmse(config(model, Pareto(1.0), 200, 100, complete_data=True))
 
 
 class TestVarianceCheck:
@@ -185,7 +189,7 @@ class TestVarianceCheck:
 
     def test_lifetime_overflow_names_the_model(self):
         model = Pareto(200.0)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(repr(model))):
+        with pytest.raises(ValueError, match=re.escape(repr(model))):
             run_variance_check(model, Pareto(1.0), 200, 20, 100, 0)
 
 

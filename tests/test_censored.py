@@ -53,12 +53,18 @@ class TestGenerate:
     @pytest.mark.parametrize("model", [Frechet(200.0), Pareto(200.0), LogGamma(1.0, 200.0), Burr(1.0, 0.005, 1.0)])
     def test_lifetime_outside_positive_reals_rejected(self, model):
         # min(inf, y) would silently record an overflowed lifetime as censored
-        with np.errstate(over="ignore", divide="ignore"), pytest.raises(ValueError, match=re.escape(repr(model))):
+        with pytest.raises(ValueError, match=re.escape(repr(model))):
             generate_censored(model, Pareto(1.0), 200, stream(0))
 
+    def test_censoring_time_of_zero_rejected(self):
+        # a censoring time that underflows to 0 would record an observation of 0
+        model = Burr(1.0, 0.01, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"{model!r} drew censoring times <= 0")):
+            generate_censored(Pareto(1.0), model, 10_000, stream(0))
+
     def test_overflowing_censoring_time_observes_lifetime(self):
-        with np.errstate(over="ignore"):
-            z, d = generate_censored(Pareto(1.0), Pareto(200.0), 200, stream(0))
+        z, d = generate_censored(Pareto(1.0), Pareto(200.0), 200, stream(0))
+        with np.errstate(over="ignore"):  # the public sample warns on overflow
             y = Pareto(200.0).sample(200, stream(0).spawn(2)[1])
         assert np.isinf(y).any()
         assert np.all(np.isfinite(z)) and np.all(d[np.isinf(y)] == 1)

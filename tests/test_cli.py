@@ -1,6 +1,5 @@
 import warnings
 
-import numpy as np
 import pytest
 
 from tailcens import Pareto, generate_censored, stream, write_censored_csv
@@ -143,6 +142,14 @@ class TestSelectK:
             main(["select-k", "--input", str(pareto_csv), "--theta", "0.9"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["select-k"], ["estimate"], ["estimate", "--k", "auto"]])
+    def test_tiny_sample_is_data_error(self, tmp_path, capsys, command):
+        # no --k-min given: the message names n, not the k_min rule's empty range
+        path = tmp_path / "tiny3.csv"
+        write_censored_csv(path, [1.0, 2.0, 3.0], [1, 0, 1])
+        assert main(command + ["--input", str(path)]) == 1
+        assert "needs a sample of n >= 4, got n = 3" in capsys.readouterr().err
+
 
 class TestGof:
     def test_report_row(self, pareto_csv, capsys):
@@ -214,15 +221,20 @@ class TestWorkers:
         # Pareto(100) censoring times overflow to inf at this n and observe their lifetimes
         out = tmp_path / "r.csv"
         args = ["simulate", "--model", "pareto:1", "--censor", "pareto:100", "--n", "20000", "--reps", "2"]
-        with np.errstate(over="ignore"):
-            run_ok(args + ["--k-grid", "50,100", "--estimators", "new", "--out", out])
+        run_ok(args + ["--k-grid", "50,100", "--estimators", "new", "--out", out])
         assert len(out.read_text().splitlines()) == 3
 
     def test_overflowing_model_is_data_error(self, capsys):
         args = ["simulate", "--model", "pareto:200", "--censor", "pareto:1", "--n", "200", "--reps", "3"]
-        with np.errstate(over="ignore"):
-            assert main(args + ["--k-grid", "5,10"]) == 1
+        assert main(args + ["--k-grid", "5,10"]) == 1
         assert "Pareto(gamma=200.0)" in capsys.readouterr().err
+
+    def test_underflowing_censoring_law_is_data_error(self, capsys):
+        # Burr(1, 0.01, 1) censoring times underflow to 0 at this n: an observation of 0 is refused
+        args = ["simulate", "--model", "pareto:1", "--censor", "burr:1,0.01,1", "--n", "10000", "--reps", "1"]
+        assert main(args + ["--k-grid", "10", "--estimators", "hill"]) == 1
+        err = capsys.readouterr().err
+        assert "Burr(beta=1.0, tau=0.01, lam=1.0) drew censoring times <= 0" in err and "RuntimeWarning" not in err
 
 
 class TestConvert:

@@ -58,7 +58,9 @@ class TestSweepThresholds:
         with pytest.raises(ValueError, match="k must be an integer in"):
             sweep(sample, estimator_id, ks)
 
-    @pytest.mark.parametrize("ks", [[2**70], [5, 2**63], np.array([2**64], dtype=object)])
+    @pytest.mark.parametrize(
+        "ks", [[2**70], [5, 2**63], np.array([2**64], dtype=object), np.array([2**63 + 1], dtype=np.uint64)]
+    )
     def test_thresholds_beyond_int64_raise(self, sample, ks):
         # an integer the int64 path cannot hold is refused, not wrapped or left to overflow
         with pytest.raises(ValueError, match="k must be an integer in"):

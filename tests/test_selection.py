@@ -117,6 +117,14 @@ class TestReissThomas:
         with pytest.raises(ValueError):
             reiss_thomas_k(s, "hill", **kwargs)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_sample_names_n(self, n):
+        # the default k_min = 2 has no room below n - 1: the message names n, not k_min
+        s = sort_censored(np.arange(1.0, n + 1), np.ones(n, dtype=int))
+        with pytest.raises(ValueError, match=f"needs a sample of n >= 4, got n = {n}$"):
+            reiss_thomas_k(s, "hill")
+        assert reiss_thomas_k(sort_censored(np.arange(1.0, 5.0), np.ones(4, dtype=int)), "hill").k_star == 2
+
 
 def assert_scan_bits(path_ks, path, theta, k_min):
     """_scan, every k at once, has the bits of the Fenwick loop over k, NaN in the same places."""
