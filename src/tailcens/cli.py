@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 # no tailcens code calls BLAS, so numpy's import need not start OpenBLAS's thread pool; a value the user set wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -22,6 +23,7 @@ from . import censored, distributions, estimators, harness, io, rules, selection
 
 ESTIMATE_CSV_HEADER = "estimator,k,value,p_hat,std_err,ci_lo,ci_hi"
 SELECT_CSV_HEADER = "k_star,theta,estimator"
+ROW_CHUNK = 4096  # table rows held as Python scalars at a time: a table of every k stays O(n) arrays
 WORKERS_HELP = "integer >= 1: gof forks its replicates over up to this many CPUs (same output); simulate runs in order"
 
 
@@ -86,11 +88,17 @@ def _sample(path: str):
     return censored.sort_censored(*io.read_censored_csv(path))
 
 
+def _write_rows(fh, row, *columns) -> None:
+    """Write ``row(*scalars)`` for each row of the equal-length arrays ``columns``, ``ROW_CHUNK`` rows at a time."""
+    for at in range(0, len(columns[0]), ROW_CHUNK):
+        fh.writelines(map(row, *(column[at:at + ROW_CHUNK].tolist() for column in columns)))
+
+
 def _cmd_estimate(args) -> None:
     import numpy as np
 
     s = _sample(args.input)
-    lines = [ESTIMATE_CSV_HEADER + "\n"]
+    tables = []  # every column of every estimator, before the output opens: a failed call writes no file
     for est in args.estimator:
         if args.all_k:
             ks = np.arange(estimators.min_valid_k(est), s.n)
@@ -99,14 +107,17 @@ def _cmd_estimate(args) -> None:
         else:
             ks = np.array([args.k])
             estimators.evaluate(s, args.k, est)  # raises, with its message, where k is out of range or undefined
-        values = estimators.sweep(s, est, ks).tolist()  # the kernels evaluate reads: the same bits
-        p_col = estimators._p_hat_path(s, ks).tolist()  # p_hat at every k at once
-        cells = zip(io.fmt_column(values), io.fmt_column(p_col))
-        for k, value, p, (value_cell, p_cell) in zip(ks.tolist(), values, p_col, cells):
-            ci = estimators.attached_ci(est, value, p, k, args.ci)
-            lines.append(f"{est},{k},{value_cell},{p_cell}," + (",".join(map(io.fmt, ci)) if ci else ",,") + "\n")
+        tables.append((est, ks, estimators.sweep(s, est, ks), estimators._p_hat_path(s, ks)))  # evaluate's bits
+
+    def row(est, k, value, p):
+        ci = estimators.attached_ci(est, value, p, k, args.ci)
+        ci_cells = ",".join(map(io.fmt, ci)) if ci else ",,"
+        return f"{est},{k},{io.fmt_float(value)},{io.fmt_float(p)},{ci_cells}\n"
+
     with _open_out(args.out) as fh:
-        fh.writelines(lines)
+        fh.write(ESTIMATE_CSV_HEADER + "\n")
+        for est, *columns in tables:
+            _write_rows(fh, partial(row, est), *columns)
 
 
 def _cmd_select_k(args) -> None:
@@ -118,8 +129,7 @@ def _cmd_select_k(args) -> None:
     if args.criterion_out:
         with open(args.criterion_out, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,criterion\n")
-            cells = io.fmt_column(sel.criterion_values.tolist())
-            fh.writelines(f"{k},{cell}\n" for k, cell in zip(sel.k_grid.tolist(), cells))
+            _write_rows(fh, lambda k, value: f"{k},{io.fmt_float(value)}\n", sel.k_grid, sel.criterion_values)
 
 
 def _cmd_gof(args) -> None:

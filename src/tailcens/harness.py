@@ -103,7 +103,8 @@ def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
     def fold(v) -> np.ndarray:  # adds the block to sums and returns its (1, estimators, k grid) defined counts
         rows = np.empty((len(v.z) + 1,) + sums.shape)  # sums, then err and err**2 of each replicate
         rows[0], err = sums, rows[1:, 0]
-        np.subtract(np.stack([_sweep(v, est, ks) for est in cfg.estimators], axis=1), gamma1, out=err)
+        for e, est in enumerate(cfg.estimators):  # each sweep straight into its column: no block-sized stack
+            np.subtract(_sweep(v, est, ks), gamma1, out=err[:, e])
         np.multiply(err, err, out=rows[1:, 1])
         with np.errstate(invalid="ignore"):  # the running sum first: replicate after replicate, as one nansum adds
             np.nansum(rows, axis=0, out=sums)

@@ -14,7 +14,7 @@ import csv
 import datetime as dt
 import math
 from numbers import Integral
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -26,7 +26,7 @@ __all__ = [
     "read_raw_records",
     "derive_survival",
     "fmt",
-    "fmt_column",
+    "fmt_float",
 ]
 
 CENSORED_HEADER = ["z", "delta"]
@@ -37,7 +37,8 @@ class CsvFormatError(ValueError):
     """A CSV file does not match the expected schema."""
 
 
-def _fmt_float(value: float) -> str:
+def fmt_float(value: float) -> str:
+    """:func:`fmt` of a float: the fast way to a CSV cell from ``array.tolist()``."""
     return "" if math.isnan(value) else f"{value:.6g}"
 
 
@@ -47,12 +48,7 @@ def fmt(value) -> str:
         return ""
     if isinstance(value, Integral):  # np.integer is Integral, np.bool_ is not
         return str(int(value))
-    return _fmt_float(float(value))
-
-
-def fmt_column(values: Iterable[float]) -> Iterator[str]:
-    """:func:`fmt` of each of many floats, lazily: the fast way to a CSV column from ``array.tolist()``."""
-    return map(_fmt_float, values)
+    return fmt_float(float(value))
 
 
 def _data_rows(path, header):
@@ -79,22 +75,24 @@ def _data_rows(path, header):
 
 
 def read_censored_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a ``z,delta`` file into (z, delta) arrays."""
+    """Read a ``z,delta`` file into C-contiguous float64 z and int64 delta arrays."""
     import numpy as np  # imported on use: convert runs without numpy
-    z: list[float] = []
-    delta: list[int] = []
-    for lineno, row in _data_rows(path, CENSORED_HEADER):
-        try:
-            value = float(row[0])
-        except ValueError:
-            raise CsvFormatError(f"{path}: line {lineno}, field z: not a number: {row[0]!r}") from None
-        if not math.isfinite(value) or value <= 0:
-            raise CsvFormatError(f"{path}: line {lineno}, field z: must be finite and > 0, got {row[0]!r}")
-        if row[1].strip() not in ("0", "1"):
-            raise CsvFormatError(f"{path}: line {lineno}, field delta: must be 0 or 1, got {row[1]!r}")
-        z.append(value)
-        delta.append(int(row[1]))
-    return np.asarray(z), np.asarray(delta, dtype=np.int64)
+
+    def observations():
+        for lineno, row in _data_rows(path, CENSORED_HEADER):
+            try:
+                value = float(row[0])
+            except ValueError:
+                raise CsvFormatError(f"{path}: line {lineno}, field z: not a number: {row[0]!r}") from None
+            if not math.isfinite(value) or value <= 0:
+                raise CsvFormatError(f"{path}: line {lineno}, field z: must be finite and > 0, got {row[0]!r}")
+            if row[1].strip() not in ("0", "1"):
+                raise CsvFormatError(f"{path}: line {lineno}, field delta: must be 0 or 1, got {row[1]!r}")
+            yield value, int(row[1])
+
+    # straight into one record array, not two lists of Python objects; each field is copied out contiguous
+    rows = np.fromiter(observations(), dtype=[("z", np.float64), ("delta", np.int64)])
+    return rows["z"].copy(), rows["delta"].copy()
 
 
 def write_censored_csv(path_or_file, z, delta) -> None:

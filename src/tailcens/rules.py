@@ -12,7 +12,8 @@ from numbers import Integral, Real
 
 def _is_number(value) -> bool:
     """A real number, not a bool: True is a flag, not a quantity."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    # exact float and int first: the Real ABC check costs about 1 us, paid per row of a streamed table
+    return type(value) in (float, int) or (isinstance(value, Real) and not isinstance(value, bool))
 
 
 def _check_k(k, n, lo: int = 1, hi=None, name: str = "k"):

@@ -5,6 +5,8 @@ message into a usage error (exit 2).
 """
 
 import datetime as dt
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from tailcens import (
 from tailcens.cli import main
 from tailcens.estimators import ESTIMATOR_IDS, _check_count, _check_fit, _check_level, _checked_id, attached_ci
 from tailcens.parallel import _check_workers
-from tailcens.rules import _check_flag
+from tailcens.rules import _check_flag, _is_number
 from tailcens.selection import _check_theta
 
 
@@ -131,6 +133,18 @@ class TestReissThomas:
     def test_numpy_integer_bounds_accepted(self, sample):
         sel = reiss_thomas_k(sample, "hill", k_min=np.int64(3), k_max=np.int64(40))
         assert sel.k_grid[0] == 3 and sel.k_grid[-1] == 40
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("value", [0.25, 0, np.float64(0.25), np.int64(0), Fraction(1, 4)])
+    def test_numbers(self, value):
+        assert _is_number(value) and _check_theta(value) == value
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), Decimal("0.25"), "0.25", None])
+    def test_not_numbers(self, value):
+        assert not _is_number(value)
+        with pytest.raises(ValueError, match="theta must be a number"):
+            _check_theta(value)
 
 
 class TestAsymptoticCi:

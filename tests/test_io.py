@@ -16,6 +16,14 @@ class TestCensoredCsv:
         assert z.tolist() == [1.5, 2.0]
         assert d.tolist() == [1, 0]
 
+    def test_contiguous_float64_and_int64(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("z,delta\n1.5,1\n2,0\n\n3e2, 1\n")
+        z, d = read_censored_csv(path)
+        assert (z.dtype, d.dtype) == (np.float64, np.int64)
+        assert z.flags.c_contiguous and d.flags.c_contiguous
+        assert z.tolist() == [1.5, 2.0, 300.0] and d.tolist() == [1, 0, 1]
+
     def test_roundtrip(self, tmp_path):
         rng = stream(21)
         z = rng.random(100) * 1e6 + 1e-4
