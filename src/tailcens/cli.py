@@ -107,7 +107,8 @@ def _cmd_estimate(args) -> None:
         else:
             ks = np.array([args.k])
             estimators.evaluate(s, args.k, est)  # raises, with its message, where k is out of range or undefined
-        tables.append((est, ks, estimators.sweep(s, est, ks), estimators._p_hat_path(s, ks)))  # evaluate's bits
+        # sweep runs the kernels evaluate reads: the same bits; p_hat at every k at once
+        tables.append((est, ks, estimators.sweep(s, est, ks), estimators._p_hat_path(s, ks)))
 
     def row(est, k, value, p):
         ci = estimators.attached_ci(est, value, p, k, args.ci)

@@ -13,7 +13,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tailcens import Pareto, generate_censored, reiss_thomas_k, sort_censored, stream, write_censored_csv
+from tailcens import (
+    Pareto,
+    generate_censored,
+    read_censored_csv,
+    reiss_thomas_k,
+    sort_censored,
+    stream,
+    write_censored_csv,
+)
 from tailcens import cli, estimators
 from tailcens.io import fmt
 
@@ -53,7 +61,7 @@ def test_all_k_rows_across_chunks_equal_the_pointwise_reference(big_csv, tmp_pat
     ids = ",".join(estimators.ESTIMATOR_IDS)
     assert cli.main(["estimate", "--input", str(big_csv), "--all-k", "--estimator", ids, "--ci", "0.9",
                      "--out", str(out)]) == 0
-    s = sort_censored(*cli.io.read_censored_csv(big_csv))
+    s = sort_censored(*read_censored_csv(big_csv))
     expected = [cli.ESTIMATE_CSV_HEADER] + [
         _reference_row(s, est, k, 0.9) for est in estimators.ESTIMATOR_IDS
         for k in range(estimators.min_valid_k(est), s.n)
@@ -72,7 +80,7 @@ def test_criterion_rows_across_chunks_equal_the_library_curve(big_csv, tmp_path)
     crit = tmp_path / "crit.csv"
     argv = ["select-k", "--input", str(big_csv), "--estimator", "efg", "--out", str(tmp_path / "sel.csv")]
     assert cli.main(argv + ["--criterion-out", str(crit)]) == 0
-    sel = reiss_thomas_k(sort_censored(*cli.io.read_censored_csv(big_csv)), "efg")
+    sel = reiss_thomas_k(sort_censored(*read_censored_csv(big_csv)), "efg")
     assert sel.k_grid.size > cli.ROW_CHUNK
     expected = ["k,criterion"] + [f"{k},{fmt(c)}" for k, c in zip(sel.k_grid.tolist(), sel.criterion_values.tolist())]
     assert crit.read_text(encoding="utf-8").splitlines() == expected
