@@ -87,9 +87,7 @@ class SortedCensoredSample:
 
 def _sorted(z: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending order along the last axis with deaths first on ties, and the top-down uncensored counts."""
-    order = np.lexsort((1 - delta, z), axis=-1)
-    z, delta = np.take_along_axis(z, order, -1), np.take_along_axis(delta, order, -1)
-    return z, delta, np.cumsum(delta[..., ::-1], axis=-1)
+    return _top_sorted(z, delta, z.shape[-1])
 
 
 def sort_censored(z, delta) -> SortedCensoredSample:
@@ -112,10 +110,9 @@ def sort_censored(z, delta) -> SortedCensoredSample:
         raise ValueError("all observations must be finite and > 0")
     if (hi := float(z.max())) / (lo := float(z.min())) == np.inf:  # bounds every ratio an estimator takes
         raise ValueError(f"the largest observation over the smallest must be a finite ratio, got {hi!r} / {lo!r}")
-    # checked before the integer cast, which would truncate e.g. 0.5 to 0
     if not np.all((delta == 0) | (delta == 1)):
         raise ValueError("censoring indicators must be 0 or 1")
-    return SortedCensoredSample(*map(_read_only, _sorted(z.astype(float), delta.astype(np.int64))))
+    return SortedCensoredSample(*map(_read_only, _sorted(z.astype(float, copy=False), delta)))
 
 
 def censor(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -174,17 +171,22 @@ def _blocks(n: int, reps: int) -> list[range]:
 
 
 def _top_sorted(z: np.ndarray, delta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The top ``m`` of each row as ``_sorted`` orders the whole row; only rows tied at the cut are sorted whole."""
-    cut = z.shape[-1] - m
-    if cut > 0:
-        keep = np.argpartition(z, cut, axis=-1)[:, cut:]
-        top_z, top_d = np.take_along_axis(z, keep, -1), np.take_along_axis(delta, keep, -1)
-        # where the cut value ties a value left below it, deaths-first order
-        # decides which tied values are kept: such rows are sorted whole
-        tied = np.count_nonzero(z >= top_z.min(axis=-1, keepdims=True), axis=-1) > m
-        top_z[tied], top_d[tied] = (a[:, cut:] for a in _sorted(z[tied], delta[tied])[:2])
-        z, delta = top_z, top_d
-    return _sorted(z, delta)
+    """The top ``m`` of each row of float ``z`` > 0 in ``_sorted``'s order, and their top-down uncensored counts.
+
+    One uint64 key per point carries that order: z > 0, so its float bits order as integers, and the
+    low bit, set when censored, puts deaths first on ties.  Equal keys are equal pairs, so partitioning at
+    the cut and sorting the ``m`` keys above it keeps the whole row's top ``m``, ties at the cut included.
+    """
+    key = z.view(np.uint64) << 1
+    key |= delta == 0
+    if (cut := key.shape[-1] - m) > 0:
+        key.partition(cut, axis=-1)
+        key = key[..., cut:].copy()
+    key.sort(axis=-1)
+    delta = (key & 1).view(np.int64)
+    np.subtract(1, delta, out=delta)
+    key >>= 1
+    return key.view(float), delta, np.cumsum(delta[..., ::-1], axis=-1)
 
 
 def _stream_keys(seed: int, rows: range, complete_data: bool) -> list[np.ndarray]:

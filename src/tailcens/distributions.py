@@ -80,7 +80,7 @@ class HeavyTailModel:
     def _rows(self, out: np.ndarray, rngs) -> np.ndarray:
         """Fill row i of ``out`` from the i-th generator of ``rngs`` and return its variates: the one draw path."""
         for row, rng in zip(out, rngs):
-            row[:] = rng.random(row.size)
+            rng.random(out=row)
         out[out == 0.0] = 0.5 / (1 << 53)  # random() covers [0, 1): nudge an exact 0 into the interior
         return self._quantile(out)  # by inverse transform, once per block: every u is already inside (0, 1)
 
@@ -233,7 +233,11 @@ def parse_model(spec: str) -> HeavyTailModel:
 
 
 def format_model(model: HeavyTailModel) -> str:
-    """Canonical spec string for ``model`` (inverse of :func:`parse_model`)."""
+    """Spec string for ``model``, each parameter at ``%g``'s 6 significant digits.
+
+    :func:`parse_model` reads it back to the same model only where 6 digits
+    hold the value: ``burr:1,2,2.030303`` is written ``burr:1,2,2.0303``.
+    """
     for name, (cls, _) in _GRAMMAR.items():
         if type(model) is cls:
             params = ",".join(f"{getattr(model, f.name):g}" for f in fields(model))

@@ -106,9 +106,11 @@ def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
         for e, est in enumerate(cfg.estimators):  # each sweep straight into its column: no block-sized stack
             np.subtract(_sweep(v, est, ks), gamma1, out=err[:, e])
         np.multiply(err, err, out=rows[1:, 1])
+        counts = np.count_nonzero(~np.isnan(err), axis=0)[None]  # before the NaNs go
+        np.copyto(rows, 0.0, where=np.isnan(rows))  # nansum's own steps, in place: no block-sized copy
         with np.errstate(invalid="ignore"):  # the running sum first: replicate after replicate, as one nansum adds
-            np.nansum(rows, axis=0, out=sums)
-        return np.count_nonzero(~np.isnan(err), axis=0)[None]
+            np.add.reduce(rows, axis=0, out=sums)
+        return counts
 
     counts = _replicates(cfg.model_x, cfg.model_y, cfg.n, cfg.reps, cfg.seed, fold, 1, cfg.complete_data).sum(0)
     bias, mse = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)

@@ -47,34 +47,45 @@ __all__ = ["KSelection", "reiss_thomas_k"]
 
 def _scan(path_ks: np.ndarray, path: np.ndarray, theta: float, k_min: int) -> np.ndarray:
     """crit(k) for k = k_min..path_ks[-1], NaN where fewer than two path terms are defined."""
-    defined = np.flatnonzero(~np.isnan(path))
-    values = path[defined] - path[defined[0]]  # centered: see the module docstring
-    weights = path_ks[defined].astype(float) ** theta
-    at = np.stack((weights, weights * values))  # w and w * v of each term, by entry index
+    defined = ~np.isnan(path)
+    values = path[defined]
+    values -= values[0]  # centered: see the module docstring
+    at = np.empty((2, values.size))  # w and w * v of each term, by entry index
+    at[0] = path_ks[defined].astype(float) ** theta
+    np.multiply(at[0], values, out=at[1])
     order = np.argsort(values, kind="stable")  # order[r]: entry index of the term of 0-based value rank r
-    size, entered = order.size, np.cumsum(~np.isnan(path))
-    ask = (path_ks >= k_min) & (entered >= 2)  # not below the grid, nor a prefix whose deviation sum is 0
-    ks, terms = path_ks[ask], entered[ask]
+    size, terms = order.size, np.cumsum(defined)
+    ask = (path_ks >= k_min) & (terms >= 2)  # not below the grid, nor a prefix whose deviation sum is 0
+    terms = terms[ask]
     # binary lifting to the last rank before the lower median, summing the trees on the way
-    pos, need, le = np.zeros(ks.size, dtype=np.int64), (terms - 1) // 2 + 1, np.zeros((2, ks.size))
+    pos, need, le = np.zeros(terms.size, dtype=np.int64), (terms - 1) // 2 + 1, np.zeros((2, terms.size))
     step = 1 << (size.bit_length() - 1)
     while step:
         # node j of this level holds the ranks 2*j*step .. 2*j*step + step - 1: row j, its members' entries in order
         nodes = np.arange((size // step + 1) // 2)[:, None]
-        entries = np.sort(order[2 * step * nodes + np.arange(step)], axis=1)
-        sums = np.add.accumulate(np.concatenate((np.zeros((2, nodes.size, 1)), at[:, entries]), axis=2), axis=2)
-        q = np.flatnonzero(pos + step <= size)
+        entries = order[2 * step * nodes + np.arange(step)]
+        entries.sort(axis=1)
+        entries += size * nodes  # one ascending run, searched for every k's node at once
+        q = np.flatnonzero(pos <= size - step)
         node = pos[q] // (2 * step)
-        count = np.searchsorted((entries + size * nodes).ravel(), node * size + terms[q]) - node * step
+        count = np.searchsorted(entries.ravel(), node * size + terms[q])
+        count -= node * step
         go = count < need[q]
         q, node, count = q[go], node[go], count[go]
         pos[q] += step
         need[q] -= count
+        entries -= size * nodes  # entry indices again
+        sums = np.zeros((2, nodes.size, step + 1))  # each node's running sums after 0.0 .. step entries
+        np.take(at, entries, axis=1, out=sums[:, :, 1:], mode="clip")  # every index is in range
+        np.add.accumulate(sums, axis=2, out=sums)
         le[:, q] += sums[:, node, count]
+        del entries, sums, q, node, count, go  # this level's arrays go before the next level's come
         step >>= 1
     le += at[:, order[pos]]
-    totals = np.cumsum(np.concatenate((np.zeros((2, 1)), at), axis=1), axis=1)[:, terms]  # W and A at each k
-    (w_le, wv_le), (w_total, wv_total), median = le, totals, values[order[pos]]
+    # W and A at each k; 0.0 plus a row's first term, > 0 or +0.0, is that term: the loop's bits
+    median, totals = values[order[pos]], np.cumsum(at, axis=1)[:, terms - 1]
+    del need, values, at, order, pos, terms
+    (w_le, wv_le), (w_total, wv_total), ks = le, totals, path_ks[ask]
     criterion = np.full(path_ks[-1] - k_min + 1, np.nan)
     criterion[ks - k_min] = ((median * w_le - wv_le) + ((wv_total - wv_le) - median * (w_total - w_le))) / ks
     return criterion
@@ -111,17 +122,11 @@ def reiss_thomas_k(
     path = sweep(s, estimator_id, path_ks)
     if np.isnan(path).all():
         raise ValueError(f"estimator {estimator_id!r} is undefined at every threshold")
-    k_grid = np.arange(k_min, k_max + 1)
     criterion = _scan(path_ks, path, theta, k_min)
     if np.all(np.isnan(criterion)):
         raise ValueError("no candidate k has at least two defined path estimates")
     best = int(np.nanargmin(criterion))  # first minimum: ties go to smaller k
+    k_grid = np.arange(k_min, k_max + 1)
     criterion.setflags(write=False)
     k_grid.setflags(write=False)
-    return KSelection(
-        k_star=int(k_grid[best]),
-        theta=float(theta),
-        estimator_id=estimator_id,
-        k_grid=k_grid,
-        criterion_values=criterion,
-    )
+    return KSelection(int(k_grid[best]), float(theta), estimator_id, k_grid, criterion)

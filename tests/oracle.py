@@ -12,7 +12,9 @@ block replicate engine behind ``gof_pvalue``, ``run_bias_rmse`` and
 ``run_variance_check`` is checked against them bit for bit.
 
 ``scan`` is the threshold-selection criterion as a Fenwick-tree loop over
-k, the bitwise reference of the level-by-level ``selection._scan``.
+k, the bitwise reference of the level-by-level ``selection._scan``, and
+``sorted_pairs`` the two-key ``np.lexsort`` order, the bitwise reference of
+the one-key sort in ``censored._sorted`` and ``censored._top_sorted``.
 """
 
 import numpy as np
@@ -175,3 +177,14 @@ def scan(path_ks: np.ndarray, path: np.ndarray, theta: float, k_min: int) -> np.
         wv_le += wv_at[pos]
         criterion[k - k_min] = ((median * w_le - wv_le) + ((wv_total - wv_le) - median * (w_total - w_le))) / k
     return criterion
+
+
+def sorted_pairs(z: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """censored._sorted by np.lexsort on (z, 1 - delta): ascending, deaths first on ties, and the top-down counts.
+
+    ``delta`` must be an int64 array of 0 and 1.  The library sorts one
+    uint64 key per point instead; it must give these bits.
+    """
+    order = np.lexsort((1 - delta, z), axis=-1)
+    z, delta = np.take_along_axis(z, order, -1), np.take_along_axis(delta, order, -1)
+    return z, delta, np.cumsum(delta[..., ::-1], axis=-1)

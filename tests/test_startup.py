@@ -144,3 +144,25 @@ def test_a_blas_thread_count_the_user_set_wins():
     out = subprocess.run([sys.executable, "-c", code], env={**ENV, "OPENBLAS_NUM_THREADS": "2"},
                          capture_output=True, text=True)
     assert (out.returncode, out.stdout) == (0, "2\n"), out.stderr
+
+
+# runs ``main`` on the arguments, then prints its status and whether numpy.random loaded
+RANDOM_PROBE = """
+import sys
+from tailcens.cli import main
+status = main(sys.argv[1:])
+print(status, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [["estimate", "--k", "40", "--estimator", "hill,efg,ww1,ww2,new", "--ci", "0.95"],
+                                  ["estimate", "--k", "auto"], ["estimate", "--all-k", "--estimator", "efg,new"],
+                                  ["select-k", "--estimator", "efg"], ["convert"]])
+def test_table_commands_load_no_numpy_random(argv, sample_csv, tmp_path):
+    # numpy.random costs megabytes of resident memory and milliseconds of start-up; only the replicate engine draws
+    source = sample_csv
+    if argv[0] == "convert":
+        source = tmp_path / "raw.csv"
+        source.write_text("start,end,status\n1990-01-01,1990-03-05,D\n1990-02-01,1990-02-01,A\n", encoding="utf-8")
+    out = _python("-c", RANDOM_PROBE, *argv, "--input", source, "--out", tmp_path / "out.csv")
+    assert (out.returncode, out.stdout.split()[-2:]) == (0, ["0", "False"]), out.stderr
