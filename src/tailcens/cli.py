@@ -10,6 +10,7 @@ and ``simulate``), so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 from contextlib import contextmanager
@@ -255,8 +256,23 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """Run :func:`main` as a command and leave by ``os._exit`` after the atexit callbacks and a flush of stdio.
+
+    argparse's ``SystemExit`` (``--help``, usage errors) gives the status too.  Where a flush fails (a reader
+    closed the pipe), the interpreter ends as usual and reports it; ``main`` has closed every output it opened.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:
+        status = exc.code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        raise SystemExit(status) from None
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -253,6 +253,7 @@ def _ww2_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     return _ratio_or_nan(np.cumsum(s._log_spacings * running, axis=-1)[..., ks - 1], surv[..., ks])
 
 
+CHUNK = 4096  # thresholds at once in a per-k loop or search, so its temporaries and Python scalars stay small
 _SPLIT_VALUES = 2**24  # terms, sum(k - 1) times rows, from which _new_path splits over the CPUs
 
 
@@ -289,20 +290,21 @@ def _new_factors(s: SortedCensoredSample, ks: np.ndarray):
     the two ks (rows are sorted), and those entries are log(t/t) = +0.0.
     """
     zr, top, lead, m = s._z_desc, s._top_float, s.z.shape[:-1], int(ks.max()) - 1
-    t = zr[..., ks]  # the thresholds; one k needs no scan
-    fresh = [True] + (np.any(t[..., 1:] != t[..., :-1], axis=tuple(range(len(lead)))).tolist() if ks.size > 1 else [])
     ranks, x, logs, flat = np.arange(1.0, m + 1), np.empty(m), np.empty(lead + (m,)), np.empty(top[..., :m].size)
     filled = 0  # logs[..., :filled] hold the row of the current threshold value
-    for j, (k, new_t) in enumerate(zip(ks.tolist(), fresh)):
-        row = logs[..., : k - 1]
-        if new_t:
-            np.log(np.divide(zr[..., 1:k], zr[..., k, None], out=row), out=row)
-        else:
-            row[..., filled:] = 0.0  # an empty slice where k - 1 <= filled
-        filled = k - 1
-        xk = np.divide(ranks[: k - 1], k, out=x[: k - 1])
-        weights = flat[: flat.size // m * (k - 1)].reshape(lead + (k - 1,))
-        yield j, np.divide(xk, np.add(top[..., : k - 1], xk, out=weights), out=weights), row
+    for lo in range(0, ks.size, CHUNK):  # Python scalars for CHUNK thresholds at a time
+        t = zr[..., ks[max(lo - 1, 0) : lo + CHUNK]]  # this chunk's thresholds and the one before; ks[0] is fresh
+        fresh = [True] * (lo == 0) + np.any(t[..., 1:] != t[..., :-1], axis=tuple(range(len(lead)))).tolist()
+        for j, k, new_t in zip(range(lo, ks.size), ks[lo : lo + CHUNK].tolist(), fresh):
+            row = logs[..., : k - 1]
+            if new_t:
+                np.log(np.divide(zr[..., 1:k], zr[..., k, None], out=row), out=row)
+            else:
+                row[..., filled:] = 0.0  # an empty slice where k - 1 <= filled
+            filled = k - 1
+            xk = np.divide(ranks[: k - 1], k, out=x[: k - 1])
+            weights = flat[: flat.size // m * (k - 1)].reshape(lead + (k - 1,))
+            yield j, np.divide(xk, np.add(top[..., : k - 1], xk, out=weights), out=weights), row
 
 
 # estimator id -> (path kernel, smallest valid k, why the kernel can give NaN)

@@ -21,12 +21,16 @@ m' = m - c, k * crit(k) = (m' * W<= - A<=) + ((A - A<=) - m' * (W - W<=)).
 The centering c is the first defined term: without it the brackets would
 subtract sums of raw estimates, whose rounding can exceed the deviations on
 a nearly flat path; with it, a constant path gives 0 at every k and the tie
-rule picks k_min.  The lifting runs for every k at once, one numpy pass per
-tree level, widest first, with the bits of a loop over k (``tests/oracle.py``):
-a node's sums after T entries add its members' values one at a time in entry
-order after 0.0, as ``np.add.accumulate`` along a (node, member) grid does;
-its count is a ``searchsorted``; each k adds the nodes it steps over in the
-loop's order, and the totals are a sequential ``np.cumsum``.
+rule picks k_min.  The lifting runs level by level, widest first, and at
+each level for every k at once, ``CHUNK`` ks per numpy pass, with the bits
+of a loop over k (``tests/oracle.py``): a node's sums after T entries add
+its members' values one at a time in entry order, as ``np.add.accumulate``
+along a (node, member) grid does (the loop's leading 0.0 only signs a zero
+sum, and a k's sums start at +0.0, so they take the same bits); a node's
+count is a ``searchsorted`` in one ascending int64 run of keys
+node * n + entry, which pass 2**31 from about n = 46 000, over int32 ranks;
+each k adds the nodes it steps over in the loop's order, and the totals are
+a sequential ``np.cumsum``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .estimators import min_valid_k, sweep
+from .estimators import CHUNK, min_valid_k, sweep
 from .rules import _check_k, _check_theta
 
 if TYPE_CHECKING:
@@ -46,48 +50,56 @@ __all__ = ["KSelection", "reiss_thomas_k"]
 
 
 def _scan(path_ks: np.ndarray, path: np.ndarray, theta: float, k_min: int) -> np.ndarray:
-    """crit(k) for k = k_min..path_ks[-1], NaN where fewer than two path terms are defined."""
+    """crit(k) for k = k_min..path_ks[-1], NaN where fewer than two path terms are defined; in place where it can."""
     defined = ~np.isnan(path)
-    values = path[defined]
-    values -= values[0]  # centered: see the module docstring
-    at = np.empty((2, values.size))  # w and w * v of each term, by entry index
-    at[0] = path_ks[defined].astype(float) ** theta
-    np.multiply(at[0], values, out=at[1])
-    order = np.argsort(values, kind="stable")  # order[r]: entry index of the term of 0-based value rank r
-    size, terms = order.size, np.cumsum(defined)
+    size = int(np.count_nonzero(defined))
+    w, wv = at = np.empty((2, size))  # w and w * v of each term, by entry index
+    w[:] = path_ks[defined]
+    w **= theta  # the scalar power path of path_ks.astype(float) ** theta: 0.5 is numpy's sqrt
+    center = np.compress(defined, path, out=wv)[0]
+    wv -= center  # v, centered: see the module docstring
+    order = np.argsort(wv, kind="stable").astype(np.int32)  # order[r]: entry index of the term of value rank r
+    wv *= w
+    terms = np.cumsum(defined, dtype=np.int32)
     ask = (path_ks >= k_min) & (terms >= 2)  # not below the grid, nor a prefix whose deviation sum is 0
     terms = terms[ask]
     # binary lifting to the last rank before the lower median, summing the trees on the way
-    pos, need, le = np.zeros(terms.size, dtype=np.int64), (terms - 1) // 2 + 1, np.zeros((2, terms.size))
+    pos, need, le = np.zeros(terms.size, dtype=np.int32), (terms - 1) // 2 + 1, np.zeros((2, terms.size))
     step = 1 << (size.bit_length() - 1)
     while step:
         # node j of this level holds the ranks 2*j*step .. 2*j*step + step - 1: row j, its members' entries in order
-        nodes = np.arange((size // step + 1) // 2)[:, None]
-        entries = order[2 * step * nodes + np.arange(step)]
-        entries.sort(axis=1)
-        entries += size * nodes  # one ascending run, searched for every k's node at once
-        q = np.flatnonzero(pos <= size - step)
-        node = pos[q] // (2 * step)
-        count = np.searchsorted(entries.ravel(), node * size + terms[q])
-        count -= node * step
-        go = count < need[q]
-        q, node, count = q[go], node[go], count[go]
-        pos[q] += step
-        need[q] -= count
-        entries -= size * nodes  # entry indices again
-        sums = np.zeros((2, nodes.size, step + 1))  # each node's running sums after 0.0 .. step entries
-        np.take(at, entries, axis=1, out=sums[:, :, 1:], mode="clip")  # every index is in range
+        run = np.lib.stride_tricks.sliding_window_view(order, step)[:: 2 * step].astype(np.int64)
+        run.sort(axis=1)
+        sums = np.take(at, run, axis=1)  # each node's running sums after 1 .. step entries
         np.add.accumulate(sums, axis=2, out=sums)
-        le[:, q] += sums[:, node, count]
-        del entries, sums, q, node, count, go  # this level's arrays go before the next level's come
+        run += np.arange(0, run.shape[0] * size, size)[:, None]  # one ascending run, searched for every k at once
+        run = run.ravel()
+        for lo in range(0, terms.size, CHUNK):  # each k adds the nodes it steps over in the loop's order
+            q = np.flatnonzero(pos[lo : lo + CHUNK] <= size - step) + lo
+            node = pos[q] // (2 * step)
+            count = np.searchsorted(run, node * np.int64(size) + terms[q]) - node * step
+            go = count < need[q]
+            q, node, count = q[go], node[go], count[go]
+            pos[q] += step
+            need[q] -= count
+            go = count > 0  # adding the 0.0 of no entries leaves le, never -0.0, as it is
+            le[:, q[go]] += sums[:, node[go], count[go] - 1]
+        del run, sums  # this level's arrays go before the next level's come
         step >>= 1
-    le += at[:, order[pos]]
-    # W and A at each k; 0.0 plus a row's first term, > 0 or +0.0, is that term: the loop's bits
-    median, totals = values[order[pos]], np.cumsum(at, axis=1)[:, terms - 1]
-    del need, values, at, order, pos, terms
-    (w_le, wv_le), (w_total, wv_total), ks = le, totals, path_ks[ask]
+    pos = order[pos]  # each k's median entry
+    del order, need
+    le += at[:, pos]
+    median = path[np.flatnonzero(defined)[pos]] - center
+    np.cumsum(at, axis=1, out=at)  # W and A; 0.0 plus a row's first term, > 0 or +0.0, is that term: the loop's bits
+    (w_le, wv_le), (w_total, wv_total), ks = le, at[:, terms - 1], path_ks[ask]
+    del at, w, wv, pos, terms
+    # (m * W<= - A<=) + ((A - A<=) - m * (W - W<=)), the totals overwritten on the way: the same bits
+    wv_total -= wv_le
+    w_total -= w_le
+    w_total *= median
+    wv_total -= w_total
     criterion = np.full(path_ks[-1] - k_min + 1, np.nan)
-    criterion[ks - k_min] = ((median * w_le - wv_le) + ((wv_total - wv_le) - median * (w_total - w_le))) / ks
+    criterion[ks - k_min] = (median * w_le - wv_le + wv_total) / ks
     return criterion
 
 
