@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import parallel, rng  # lazy: only the replicate engine runs them
-from .rules import _check_count
+from .rules import _check_count, _check_workers
 
 if TYPE_CHECKING:
     from .distributions import HeavyTailModel
@@ -227,7 +227,7 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
     return all it computes: a forked block's side effects are lost.
     """
     blocks = _blocks(n, reps)
-    cuts = parallel._cuts(len(blocks), workers)
+    cuts = parallel._cuts(len(blocks), _check_workers(workers))
     per_pass = max(1, _KEY_ROWS // len(blocks[0]))  # blocks a key pass derives, within one process's range
     # a range runs its blocks in order, so one pass's keys are held at a time
     pass_keys = lru_cache(maxsize=1)(lambda rows: _stream_keys(seed, rows, complete_data))

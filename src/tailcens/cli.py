@@ -3,8 +3,9 @@
 Subcommands: ``simulate | estimate | select-k | gof | convert``.  All output
 is CSV with a header row, numbers at 6 significant digits, missing cells
 empty.  Exit status: 0 on success, 2 on usage errors, 1 on data or runtime
-errors.  Every random quantity is driven by an explicit ``--seed`` (``gof``
-and ``simulate``), so identical invocations produce identical bytes.
+errors, 141 when the reader closes the pipe early.  Every random quantity is
+driven by an explicit ``--seed`` (``gof`` and ``simulate``), so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -101,15 +102,13 @@ def _cmd_estimate(args) -> None:
     s = _sample(args.input)
     tables = []  # every column of every estimator, before the output opens: a failed call writes no file
     for est in args.estimator:
-        if args.all_k:
-            ks = np.arange(estimators.min_valid_k(est), s.n)
-        elif args.k in (None, "auto"):  # a None default lets argparse see a given --k auto clash with --all-k
-            ks = np.array([selection.reiss_thomas_k(s, est, theta=args.theta).k_star])
-        else:
-            ks = np.array([args.k])
-            estimators.evaluate(s, args.k, est)  # raises, with its message, where k is out of range or undefined
-        # sweep runs the kernels evaluate reads: the same bits; p_hat at every k at once
-        tables.append((est, ks, estimators.sweep(s, est, ks), estimators._p_hat_path(s, ks)))
+        if args.all_k or args.k in (None, "auto"):  # a None default lets argparse see --k auto clash with --all-k
+            ks = (np.arange(estimators.min_valid_k(est), s.n) if args.all_k
+                  else np.array([selection.reiss_thomas_k(s, est, theta=args.theta).k_star]))
+            values = estimators.sweep(s, est, ks)
+        else:  # evaluate reads sweep's kernel, so its bits, and raises where k is out of range or undefined
+            ks, values = np.array([args.k]), np.array([estimators.evaluate(s, args.k, est)])
+        tables.append((est, ks, values, estimators._p_hat_path(s, ks)))  # p_hat at every k at once
 
     def row(est, k, value, p):
         ci = estimators.attached_ci(est, value, p, k, args.ci)
@@ -129,7 +128,7 @@ def _cmd_select_k(args) -> None:
         fh.write(SELECT_CSV_HEADER + "\n")
         fh.write(f"{sel.k_star},{io.fmt(sel.theta)},{sel.estimator_id}\n")
     if args.criterion_out:
-        with open(args.criterion_out, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(args.criterion_out) as fh:
             fh.write("k,criterion\n")
             _write_rows(fh, lambda k, value: f"{k},{io.fmt_float(value)}\n", sel.k_grid, sel.criterion_values)
 
@@ -160,9 +159,9 @@ def _cmd_simulate(args) -> None:
     result = harness.run_bias_rmse(cfg, workers=args.workers)
     with _open_out(args.out) as fh:
         harness.write_result_csv(result, fh)
-    if args.out and args.out != "-":
-        with open(args.out + ".meta", "w", encoding="utf-8", newline="") as fh:
-            harness.write_meta(cfg, fh)
+        if fh is not sys.stdout:  # a file gets a config echo beside it
+            with _open_out(args.out + ".meta") as meta:
+                harness.write_meta(cfg, meta)
 
 
 def _cmd_convert(args) -> None:
@@ -245,10 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pipe_closed() -> int:
+    """Point stdout at ``os.devnull``, so that its last flush stays silent, and give the status of a closed pipe."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 141  # 128 + SIGPIPE: what a shell reports for a writer that the signal ended
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
+    except BrokenPipeError:  # the reader closed the pipe early: no error of the data, so nothing to report
+        return _pipe_closed()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -258,8 +267,9 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Run :func:`main` as a command and leave by ``os._exit`` after the atexit callbacks and a flush of stdio.
 
-    argparse's ``SystemExit`` (``--help``, usage errors) gives the status too.  Where a flush fails (a reader
-    closed the pipe), the interpreter ends as usual and reports it; ``main`` has closed every output it opened.
+    argparse's ``SystemExit`` (``--help``, usage errors) gives the status too.  A reader that closed the pipe
+    before the last flush gives status 141 and no message, as in ``main``; where a flush fails otherwise, the
+    interpreter ends as usual and reports it.  ``main`` has closed every output it opened.
     """
     try:
         status = main()
@@ -268,7 +278,9 @@ def entry() -> None:
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()
-        sys.stderr.flush()
+        sys.stderr.flush()  # line-buffered: every message has ended its line, so a failed stdout flush skips nothing
+    except BrokenPipeError:
+        status = _pipe_closed()
     except (OSError, ValueError):
         raise SystemExit(status) from None
     os._exit(status)

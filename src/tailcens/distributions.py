@@ -27,18 +27,8 @@ import numpy as np
 
 from .rules import _check_count, _require_positive
 
-__all__ = [
-    "Burr",
-    "Frechet",
-    "LogGamma",
-    "Pareto",
-    "HeavyTailModel",
-    "CensoringProfile",
-    "censoring_profile",
-    "parse_model",
-    "format_model",
-    "ModelSpecError",
-]
+__all__ = ["Burr", "Frechet", "LogGamma", "Pareto", "HeavyTailModel", "CensoringProfile", "censoring_profile",
+           "parse_model", "format_model", "ModelSpecError"]
 
 
 class ModelSpecError(ValueError):

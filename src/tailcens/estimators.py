@@ -258,15 +258,13 @@ _SPLIT_VALUES = 2**24  # terms, sum(k - 1) times rows, from which _new_path spli
 
 
 def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
-    # O(k) terms per k: a long path is cut into contiguous parts of equal sum(k - 1), one per CPU, each run by
+    # O(k) terms per k: a long path is cut at equal sum(k - 1) times rows (parallel._cuts), each part run by
     # _new_loop in a forked process.  A part's first k takes a fresh log row: the bits of the serial loop's reuse
-    cpus = parallel._fork_parts(ks.size)
-    if cpus > 1:
-        work = np.cumsum(ks - 1) * math.prod(s.z.shape[:-1])
-        if work[-1] >= _SPLIT_VALUES:
-            parts = np.split(ks, np.searchsorted(work, work[-1] * np.arange(1, cpus) // cpus) + 1)
-            return np.concatenate(parallel.fork_map(lambda part: _new_loop(s, part), [p for p in parts if p.size]), -1)
-    return _new_loop(s, ks)
+    cuts = parallel._cuts(ks.size, ks.size, lambda: np.cumsum(ks - 1) * math.prod(s.z.shape[:-1]), _SPLIT_VALUES)
+    if len(cuts) == 1:
+        return _new_loop(s, ks)
+    parts = [ks[cut.start : cut.stop] for cut in cuts]
+    return np.concatenate(parallel.fork_map(lambda part: _new_loop(s, part), parts), -1)
 
 
 def _new_loop(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
@@ -290,7 +288,9 @@ def _new_factors(s: SortedCensoredSample, ks: np.ndarray):
     the two ks (rows are sorted), and those entries are log(t/t) = +0.0.
     """
     zr, top, lead, m = s._z_desc, s._top_float, s.z.shape[:-1], int(ks.max()) - 1
-    ranks, x, logs, flat = np.arange(1.0, m + 1), np.empty(m), np.empty(lead + (m,)), np.empty(top[..., :m].size)
+    ranks, x, logs, flat = np.arange(1.0, m + 1), np.empty(m), np.empty(lead + (m,)), np.empty(top[..., :m].size + 7)
+    # weights start on a 64-byte line: 16 to 48 bytes into one, as np.empty may place them, the path ran ~10 % slower
+    flat = flat[-flat.ctypes.data % 64 // 8 :][: flat.size - 7]
     filled = 0  # logs[..., :filled] hold the row of the current threshold value
     for lo in range(0, ks.size, CHUNK):  # Python scalars for CHUNK thresholds at a time
         t = zr[..., ks[max(lo - 1, 0) : lo + CHUNK]]  # this chunk's thresholds and the one before; ks[0] is fresh

@@ -22,16 +22,8 @@ from .estimators import _checked_id, _new_path, _sweep
 from .io import fmt
 from .rules import _check_count, _check_flag, _check_k, _check_workers
 
-__all__ = [
-    "McConfig",
-    "McResult",
-    "default_k_grid",
-    "run_bias_rmse",
-    "run_variance_check",
-    "write_result_csv",
-    "write_meta",
-    "RESULT_CSV_HEADER",
-]
+__all__ = ["McConfig", "McResult", "default_k_grid", "run_bias_rmse", "run_variance_check", "write_result_csv",
+           "write_meta", "RESULT_CSV_HEADER"]
 
 RESULT_CSV_HEADER = "estimator,k,bias,rmse,undefined_count"
 

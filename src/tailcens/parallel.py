@@ -1,4 +1,4 @@
-"""Ordered maps over forked processes: replicate blocks, and parts of a long kernel path.
+"""Ordered maps over forked processes: replicate blocks, and parts of a long kernel path, both cut by ``_cuts``.
 
 A forked part returns only its results, so a function that adds into the caller's state runs with ``workers=1``.
 """
@@ -6,6 +6,7 @@ A forked part returns only its results, so a function that adds into the caller'
 import os
 import pickle
 import threading
+from bisect import bisect_left
 
 from .rules import _check_workers
 
@@ -22,10 +23,20 @@ def _fork_parts(limit: int) -> int:
     return min(limit, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
-def _cuts(count: int, workers: int) -> list[range]:
-    """The contiguous index ranges ``replicate_map`` runs 0..count-1 in, one per process, in order."""
-    parts = _fork_parts(min(_check_workers(workers), count))
-    return [range(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+def _cuts(count: int, limit: int, running=None, least: int = 0) -> list[range]:
+    """Contiguous, non-empty ranges of 0..count-1, in order, at equal work over ``_fork_parts(min(limit, count))``.
+
+    ``running()`` gives the running work, entry i that of items 0..i, or None one unit an item (equal counts).  Over
+    ``parts`` processes, range j < parts ends with the first item whose running work reaches total * j // parts.
+    One range where the processes are one, asked first so that ``running`` is not called, or below ``least`` work.
+    """
+    parts = _fork_parts(min(limit, count))
+    if parts > 1:
+        work = range(1, count + 1) if running is None else running()
+        if work[-1] >= least:
+            ends = [bisect_left(work, work[-1] * j // parts) + 1 for j in range(1, parts)] + [count]
+            return [range(lo, hi) for lo, hi in zip([0, *ends], ends) if lo < hi]
+    return [range(count)]
 
 
 def replicate_map(fn, count: int, workers: int = 1) -> list:
@@ -34,7 +45,8 @@ def replicate_map(fn, count: int, workers: int = 1) -> list:
     The first range runs here and each other in a forked child (:func:`fork_map`).  ``censored._replicates`` maps it
     over replicate blocks.
     """
-    return [value for part in fork_map(lambda cut: [fn(r) for r in cut], _cuts(count, workers)) for value in part]
+    cuts = _cuts(count, _check_workers(workers))
+    return [value for part in fork_map(lambda cut: [fn(r) for r in cut], cuts) for value in part]
 
 
 def fork_map(fn, parts) -> list:

@@ -36,15 +36,12 @@ a sequential ``np.cumsum``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .censored import SortedCensoredSample, _read_only
 from .estimators import CHUNK, min_valid_k, sweep
 from .rules import _check_k, _check_theta
-
-if TYPE_CHECKING:
-    from .censored import SortedCensoredSample
 
 __all__ = ["KSelection", "reiss_thomas_k"]
 
@@ -138,7 +135,5 @@ def reiss_thomas_k(
     if np.all(np.isnan(criterion)):
         raise ValueError("no candidate k has at least two defined path estimates")
     best = int(np.nanargmin(criterion))  # first minimum: ties go to smaller k
-    k_grid = np.arange(k_min, k_max + 1)
-    criterion.setflags(write=False)
-    k_grid.setflags(write=False)
-    return KSelection(int(k_grid[best]), float(theta), estimator_id, k_grid, criterion)
+    k_grid = _read_only(np.arange(k_min, k_max + 1))
+    return KSelection(int(k_grid[best]), float(theta), estimator_id, k_grid, _read_only(criterion))

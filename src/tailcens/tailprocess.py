@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .censored import SortedCensoredSample, _replicates
+from .censored import SortedCensoredSample, _read_only, _replicates
 from .distributions import Pareto
 from .rules import _check_count, _check_fit, _check_k
 
@@ -92,9 +92,7 @@ def _steps(weights: np.ndarray, positions: np.ndarray, mask: np.ndarray) -> tupl
 def delta_curve(s: SortedCensoredSample, k: int) -> TailProcessCurve:
     """Exact piecewise representation of the tail step function."""
     _check_k(k, s.n, lo=2)
-    breakpoints, levels = _steps(*_atoms(s, k))
-    for arr in (breakpoints, levels):
-        arr.setflags(write=False)
+    breakpoints, levels = map(_read_only, _steps(*_atoms(s, k)))
     return TailProcessCurve(breakpoints=breakpoints, levels=levels, k=int(k), n=s.n)
 
 

@@ -137,6 +137,15 @@ class TestSelectK:
         assert crit_lines[0] == "k,criterion"
         assert len(crit_lines) == 1 + 148
 
+    def test_criterion_out_dash_prints_the_criterion_table(self, pareto_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a file named "-" would land here
+        row, crit = tmp_path / "row.csv", tmp_path / "crit.csv"
+        run_ok(["select-k", "--input", pareto_csv, "--criterion-out", crit])
+        written = capsys.readouterr().out
+        run_ok(["select-k", "--input", pareto_csv, "--out", row, "--criterion-out", "-"])
+        assert capsys.readouterr().out == crit.read_text() and crit.read_text().startswith("k,criterion\n")
+        assert row.read_text() == written and not (tmp_path / "-").exists()
+
     def test_theta_validation(self, pareto_csv):
         with pytest.raises(SystemExit) as exc:
             main(["select-k", "--input", str(pareto_csv), "--theta", "0.9"])

@@ -226,3 +226,11 @@ def test_cli_all_k_prints_each_row_once(tmp_path):
     lines = split.stdout.splitlines()
     assert lines[0] == "buffered before the fork" and lines[1:] == serial.stdout.splitlines()
     assert len(lines) == 2 + 298 + 299 and len(set(lines)) == len(lines)
+
+
+@pytest.mark.parametrize("make", [tie_heavy_sample, two_row_block, top_cut_block])
+def test_weights_start_on_a_cache_line(make):
+    # a speed property, not a bits one: off a 64-byte line the path loop ran about 10 % slower
+    s = make()
+    for _, weights, _ in estimators._new_factors(s, np.array([s.n - 1, 2, 5])):
+        assert weights.ctypes.data % 64 == 0
