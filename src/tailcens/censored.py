@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import parallel, rng  # lazy: only the replicate engine runs them
-from .rules import _check_count, _check_workers
+from .rules import _check_count, _check_workers, _float_array
 
 if TYPE_CHECKING:
     from .distributions import HeavyTailModel
@@ -98,10 +98,7 @@ def sort_censored(z, delta) -> SortedCensoredSample:
     equal times.  The sample rule: nonempty 1-D numeric arrays of one length
     (bools allowed in ``delta``), ``z`` finite, > 0 and of finite max/min, ``delta`` 0 or 1.
     """
-    z, delta = np.asarray(z), np.asarray(delta)
-    for name, arr, kinds in (("z", z, "iuf"), ("delta", delta, "biuf")):
-        if arr.ndim != 1 or arr.dtype.kind not in kinds:
-            raise ValueError(f"{name} must be a 1-D array of numbers, got a {arr.ndim}-D array of {arr.dtype}")
+    z, delta = _float_array(z, "z", ndim=1), _float_array(delta, "delta", "biuf", 1)
     if z.size == 0:
         raise ValueError("sample must be nonempty")
     if z.size != delta.size:
@@ -112,12 +109,12 @@ def sort_censored(z, delta) -> SortedCensoredSample:
         raise ValueError(f"the largest observation over the smallest must be a finite ratio, got {hi!r} / {lo!r}")
     if not np.all((delta == 0) | (delta == 1)):
         raise ValueError("censoring indicators must be 0 or 1")
-    return SortedCensoredSample(*map(_read_only, _sorted(z.astype(float, copy=False), delta)))
+    return SortedCensoredSample(*map(_read_only, _sorted(z, delta)))
 
 
 def censor(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Pair a lifetime array with a censoring array: z = min, delta = 1{x <= y}; x and y of one shape, no NaN."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x, y = _float_array(x, "x"), _float_array(y, "y")
     if x.shape != y.shape:
         raise ValueError(f"x and y shapes differ: {x.shape} vs {y.shape}")
     if np.isnan(z := np.minimum(x, y)).any():  # NaN in either input propagates to z

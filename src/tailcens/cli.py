@@ -145,13 +145,12 @@ def _cmd_gof(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    k_grid = args.k_grid if args.k_grid is not None else harness.default_k_grid(args.n)
     cfg = harness.McConfig(
         model_x=args.model,
         model_y=args.censor,
         n=args.n,
         reps=args.reps,
-        k_grid=tuple(k_grid),
+        k_grid=args.k_grid or harness.default_k_grid(args.n),
         estimators=args.estimators,
         seed=args.seed,
         complete_data=args.complete,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rules import _check_count, _require_positive
+from .rules import _check_count, _float_array, _require_positive
 
 __all__ = ["Burr", "Frechet", "LogGamma", "Pareto", "HeavyTailModel", "CensoringProfile", "censoring_profile",
            "parse_model", "format_model", "ModelSpecError"]
@@ -39,12 +39,13 @@ class HeavyTailModel:
     """Base class for the supported families: each defines ``_cdf`` and ``_quantile`` on checked float arrays."""
 
     def __post_init__(self):
-        """Apply the model parameter rule to every field, in field order."""
-        _require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
+        """Apply the model parameter rule to every field, in field order, and keep each as the float it returns."""
+        for name, value in _require_positive(**{f.name: getattr(self, f.name) for f in fields(self)}).items():
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
     def cdf(self, x):
         """The cdf at ``x``, finite and >= 0; a float for a scalar."""
-        x = np.asarray(x, dtype=float)
+        x = _float_array(x, "cdf argument")
         if not np.all(np.isfinite(x)) or np.any(x < 0):
             raise ValueError("cdf argument must be finite and >= 0")
         out = self._cdf(x)
@@ -52,7 +53,7 @@ class HeavyTailModel:
 
     def quantile(self, u):
         """The quantile at ``u``, strictly inside (0, 1); a float for a scalar."""
-        u = np.asarray(u, dtype=float)
+        u = _float_array(u, "quantile argument")
         if not np.all((u > 0.0) & (u < 1.0)):
             raise ValueError("quantile argument must lie strictly inside (0, 1)")
         out = self._quantile(u)

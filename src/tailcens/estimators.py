@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import parallel
-from .rules import _check_count, _check_fit, _check_k, _check_level, _is_number
+from .rules import _check_count, _check_fit, _check_k, _check_level, _number
 
 if TYPE_CHECKING:
     from .censored import SortedCensoredSample
@@ -73,8 +72,7 @@ def hill(s: SortedCensoredSample, k: int) -> float:
 
 def p_hat(s: SortedCensoredSample, k: int) -> float:
     """Fraction of uncensored observations among the top k."""
-    _check_k(k, s.n, hi=s.n)
-    return float(_p_hat_path(s, k))
+    return float(_p_hat_path(s, _check_k(k, s.n, hi=s.n)))
 
 
 def efg(s: SortedCensoredSample, k: int) -> float:
@@ -130,8 +128,9 @@ def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 
     exactly to :func:`new_weighted`.
     """
     _check_k(k, s.n, lo=2)
-    if not (_is_number(alpha) and alpha > 0):
+    if not (number := _number(alpha)) > 0:
         raise ValueError(f"alpha must be a number > 0, got {alpha!r}")
+    alpha = number
     if g is None:
         try:
             norm = math.gamma(alpha + 1.0)
@@ -160,12 +159,12 @@ def asymptotic_ci(gamma1_hat: float, p: float, k: int, level: float = 0.95) -> t
     (9 - 8p) * gamma1**2 / p, treated as centered (no bias correction).
     Returns (std_err, lower, upper) with the lower end truncated at 0.
     """
-    _check_fit(gamma1_hat, p)
-    _check_count(k, 1, "k")
-    _check_level(level)
+    gamma1_hat, p = _check_fit(gamma1_hat, p)
+    k = _check_count(k, 1, "k")
+    level = _check_level(level)
     from statistics import NormalDist  # imported on use: only intervals need it
 
-    std_err = float(gamma1_hat * np.sqrt((9.0 - 8.0 * p) / p) / np.sqrt(k))
+    std_err = gamma1_hat * math.sqrt((9.0 - 8.0 * p) / p) / math.sqrt(k)
     zq = NormalDist().inv_cdf(0.5 * (1.0 + level))
     return std_err, max(0.0, gamma1_hat - zq * std_err), gamma1_hat + zq * std_err
 
@@ -174,9 +173,11 @@ def attached_ci(estimator_id: str, value: float, p: float, k: int, level: float 
     """``(std_err, lower, upper)`` for ``new`` where :func:`asymptotic_ci` applies, else None."""
     if level is None:
         return None
-    _check_level(level)  # a given level is checked whatever the estimator and the estimate
-    # value is NaN where undefined, 0 when the top k points tie the threshold, inf only past sort_censored's ratio rule
-    return asymptotic_ci(value, p, k, level) if estimator_id == "new" and p > 0 and 0 < value < np.inf else None
+    level = _check_level(level)  # a given level is checked whatever the estimator and the estimate
+    # none where p = 0 or value is NaN (undefined), 0 (top k tie the threshold) or inf; the fit rule gets the rest
+    if estimator_id != "new" or p == 0 or value != value or value in (0, math.inf):
+        return None
+    return asymptotic_ci(value, p, k, level)
 
 
 def min_valid_k(estimator_id: str) -> int:
@@ -203,12 +204,13 @@ def estimate_report(
     ci_level: float | None = None,
 ) -> EstimateReport:
     """Evaluate one estimator at one threshold and assemble a report, with :func:`attached_ci`."""
+    k = _check_k(k, s.n, min_valid_k(estimator_id))
     value = evaluate(s, k, estimator_id)
     p = p_hat(s, k)
     interval = attached_ci(estimator_id, value, p, k, ci_level)
     return EstimateReport(
         estimator_id=estimator_id,
-        k=int(k),
+        k=k,
         value=value,
         p_hat=p,
         std_err=interval[0] if interval else None,
@@ -360,7 +362,7 @@ def _sweep(s: SortedCensoredSample, estimator_id: str, ks) -> np.ndarray:
     ks = ks if isinstance(ks, np.ndarray) else np.asarray(ks, dtype=object)  # numpy would read [5, True] as ints
     if ks.dtype.kind != "i":  # unsigned too: an int64 cast would wrap a uint64 beyond int64 to a negative k
         for k in ks.ravel().tolist():
-            if isinstance(k, bool) or not (isinstance(k, Integral) and -(2**63) <= k < 2**63):
+            if not -(2**63) <= _number(k, integer=True) < 2**63:
                 _check_k(k, s.n, lo)  # raises at the first float, bool or beyond-int64 threshold
     ks = ks.astype(np.int64, copy=False)
     out = np.full(s.z.shape[:-1] + ks.shape, np.nan)

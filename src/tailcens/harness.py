@@ -51,17 +51,13 @@ class McConfig:
     complete_data: bool = False
 
     def __post_init__(self):
-        _check_count(self.reps, 1, "reps")
-        _check_count(self.n, 3, "n")
-        _check_count(self.seed, 0, "seed")
+        for name, lo in (("reps", 1), ("n", 3), ("seed", 0)):  # each field keeps what its rule returns
+            object.__setattr__(self, name, _check_count(getattr(self, name), lo, name))
         _check_flag(self.complete_data, "complete_data")
-        for name in ("k_grid", "estimators"):
-            if not len(getattr(self, name)):
+        for name, rule in (("k_grid", lambda k: _check_k(k, self.n)), ("estimators", _checked_id)):
+            if not len(values := getattr(self, name)):
                 raise ValueError(f"{name} must not be empty")
-        for k in self.k_grid:
-            _check_k(k, self.n)
-        for est in self.estimators:
-            _checked_id(est)
+            object.__setattr__(self, name, tuple(map(rule, values)))  # a tuple of ints, or of ids
 
 
 @dataclass(frozen=True)
@@ -128,9 +124,10 @@ def run_variance_check(
     ``censored._replicates`` over up to ``workers`` processes, each row
     keeping only its top k+1 values.
     """
-    _check_count(reps, 2, "reps")  # a sample variance needs two values
+    reps = _check_count(reps, 2, "reps")  # a sample variance needs two values
+    seed = _check_count(seed, 0, "seed")
     _check_flag(complete_data, "complete_data")
-    _check_k(k, _check_count(n, 1, "n"), lo=2)
+    k = _check_k(k, n := _check_count(n, 1, "n"), lo=2)
     gamma1 = model_x.true_evi
     ks = np.array([k])
     values = _replicates(

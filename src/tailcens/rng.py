@@ -25,8 +25,8 @@ _MASK = 0xFFFFFFFF
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Return an independent generator keyed by ``(seed, *key)``; every part is an integer >= 0."""
-    key = tuple(int(_check_count(part, 0, "key")) for part in key)
-    ss = np.random.SeedSequence(entropy=int(_check_count(seed, 0, "seed")), spawn_key=key)
+    key = tuple(_check_count(part, 0, "key") for part in key)
+    ss = np.random.SeedSequence(entropy=_check_count(seed, 0, "seed"), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -41,10 +41,10 @@ def _keys(seed: int, rows: range, *tail: int) -> np.ndarray:
     Row r's key is ``SeedSequence(seed, spawn_key=(r, *tail)).generate_state(2, np.uint64)``, as
     Philox takes it, computed over whole columns of rows; rows with r >= 2**32 (two words) are a group.
     """
-    for part in (*rows[:1], *rows[-1:], *tail):  # a range's ends bound all of it
+    for part in (*rows[:1], *rows[-1:]):  # a range's ends bound all of it
         _check_count(part, 0, "key")
-    seed_words = _words(int(_check_count(seed, 0, "seed")), 4)  # padded to the pool size before a spawn key
-    tail_words = [w for part in tail for w in _words(int(part))]
+    tail_words = [w for part in tail for w in _words(_check_count(part, 0, "key"))]
+    seed_words = _words(_check_count(seed, 0, "seed"), 4)  # padded to the pool size before a spawn key
     r = np.arange(rows.start, rows.stop, rows.step, dtype=np.uint64)
     keys = np.empty((r.size, 2), np.uint64)
     for count, group in enumerate((r <= _MASK, r > _MASK), 1):

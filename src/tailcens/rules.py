@@ -1,33 +1,35 @@
-"""Every scalar argument rule, below every module that checks one.
+"""Every argument rule, below every module that checks one, so a value breaking it gets one message anywhere.
 
-The library and the CLI's flag types check a count, a seed, a threshold, a
-model parameter, theta, a confidence level, a fitted tail, a worker count or
-a flag here, so it is rejected with the same message wherever it enters.
-This module loads no numpy: a flag that breaks a rule exits without it.
+A number rule returns what it accepted as the builtin int or float the kernels compute in.  To it, anything else,
+a bool or a number beyond the float range reads as NaN, which fails every bound.  This module loads no numpy: a
+flag that breaks a rule exits without it.
 """
 
 import math
 from numbers import Integral, Real
 
 
-def _is_number(value) -> bool:
-    """A real number, not a bool: True is a flag, not a quantity."""
-    # exact float and int first: the Real ABC check costs about 1 us, paid per row of a streamed table
-    return type(value) in (float, int) or (isinstance(value, Real) and not isinstance(value, bool))
+def _number(value, integer: bool = False):
+    """``value`` as an int (``integer``) or float if it is such a number, not a bool, in the float range; else NaN."""
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        return math.nan
+    try:
+        number = float(value)
+    except OverflowError:  # beyond the float range
+        return math.nan
+    return int(value) if integer else number
 
 
-def _check_k(k, n, lo: int = 1, hi=None, name: str = "k"):
-    """Return ``k`` if it is an integer in [lo, hi] (hi defaults to n - 1); raise ValueError otherwise."""
+def _check_k(k, n, lo: int = 1, hi=None, name: str = "k") -> int:
+    """Return ``k`` as an int if it is an integer in [lo, hi] (hi defaults to n - 1); raise ValueError otherwise."""
     hi = n - 1 if hi is None else hi
-    # bool is an int subclass, but True is a flag, not a threshold count; numpy
-    # integers are Integral, and int is listed first as the quicker test
-    if isinstance(k, bool) or not (isinstance(k, (int, Integral)) and lo <= k <= hi):
+    if not lo <= (value := _number(k, integer=True)) <= hi:
         raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {k!r}")
-    return k
+    return value
 
 
-def _check_count(value, lo: int, name: str):
-    """Return ``value`` if it is an integer >= lo: the k rule with no upper end."""
+def _check_count(value, lo: int, name: str) -> int:
+    """Return ``value`` as an int if it is an integer >= lo: the k rule with no upper end."""
     return _check_k(value, math.inf, lo, name=name)
 
 
@@ -38,34 +40,48 @@ def _check_flag(value, name: str):
     return value
 
 
-def _check_theta(theta):
-    """Return ``theta`` if it is a number in [0, 0.5]; raise ValueError otherwise."""
-    if not (_is_number(theta) and 0.0 <= theta <= 0.5):
+def _check_theta(theta) -> float:
+    """Return ``theta`` as a float if it is a number in [0, 0.5]; raise ValueError otherwise."""
+    if not 0.0 <= (value := _number(theta)) <= 0.5:
         raise ValueError(f"theta must be a number in [0, 0.5], got {theta!r}")
-    return theta
+    return value
 
 
-def _check_level(level):
-    """Return ``level`` if it is a number in (0, 1); raise ValueError otherwise."""
-    if not (_is_number(level) and 0.0 < level < 1.0):
+def _check_level(level) -> float:
+    """Return ``level`` as a float if it is a number in (0, 1); raise ValueError otherwise."""
+    if not 0.0 < (value := _number(level)) < 1.0:
         raise ValueError(f"level must be a number in (0, 1), got {level!r}")
-    return level
+    return value
 
 
-def _check_fit(gamma, p) -> None:
-    """Accept a fitted power tail: numbers gamma finite and > 0, p in (0, 1]; raise ValueError otherwise."""
-    if not (_is_number(gamma) and _is_number(p) and 0 < gamma < math.inf and 0.0 < p <= 1.0):
+def _check_fit(gamma, p) -> tuple[float, float]:
+    """Return a fitted power tail as floats: numbers gamma finite and > 0, p in (0, 1]; raise ValueError otherwise."""
+    if not (0.0 < (g := _number(gamma)) < math.inf and 0.0 < (q := _number(p)) <= 1.0):
         raise ValueError(f"a fitted tail needs numbers gamma finite and > 0, p in (0, 1], got gamma={gamma!r}, p={p!r}")
+    return g, q
 
 
 def _check_workers(workers) -> int:
-    """Return ``workers`` if it is an integer >= 1 (a bool is not); raise ValueError otherwise."""
-    if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
+    """Return ``workers`` as an int if it is an integer >= 1 (a bool is not); raise ValueError otherwise."""
+    if not (value := _number(workers, integer=True)) >= 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    return workers
+    return value
 
 
-def _require_positive(**params) -> None:
+def _require_positive(**params) -> dict[str, float]:
+    """Return the model parameters as floats if each is a finite number > 0; raise ValueError at the first not."""
     for name, value in params.items():
-        if not (_is_number(value) and math.isfinite(value) and value > 0):
+        if not 0.0 < (number := _number(value)) < math.inf:
             raise ValueError(f"parameter {name} must be a finite positive number, got {value!r}")
+        params[name] = number
+    return params
+
+
+def _float_array(values, name: str, kinds: str = "iuf", ndim: int | None = None):
+    """``values`` as a float array if its dtype kind is in ``kinds`` and it has ``ndim`` axes (None: any)."""
+    import numpy as np  # on use: the scalar rules load no numpy
+    arr = np.asarray(values)
+    if arr.dtype.kind not in kinds or ndim not in (None, arr.ndim):  # "2" and True are not numbers
+        shape = "an array" if ndim is None else f"a {ndim}-D array"
+        raise ValueError(f"{name} must be {shape} of numbers, got a {arr.ndim}-D array of {arr.dtype}")
+    return arr.astype(float, copy=False)

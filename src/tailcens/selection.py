@@ -122,8 +122,8 @@ def reiss_thomas_k(
     n = s.n
     if n < 4:  # 2 <= k_min < k_max <= n - 1 has no solution
         raise ValueError(f"threshold selection needs a sample of n >= 4, got n = {n}")
-    _check_theta(theta)
-    _check_k(k_min, n, lo=2, hi=n - 2, name="k_min")
+    theta = _check_theta(theta)
+    k_min = _check_k(k_min, n, lo=2, hi=n - 2, name="k_min")
     k_max = n - 1 if k_max is None else _check_k(k_max, n, lo=k_min + 1, name="k_max")
 
     start = min_valid_k(estimator_id)
@@ -134,6 +134,5 @@ def reiss_thomas_k(
     criterion = _scan(path_ks, path, theta, k_min)
     if np.all(np.isnan(criterion)):
         raise ValueError("no candidate k has at least two defined path estimates")
-    best = int(np.nanargmin(criterion))  # first minimum: ties go to smaller k
-    k_grid = _read_only(np.arange(k_min, k_max + 1))
-    return KSelection(int(k_grid[best]), float(theta), estimator_id, k_grid, _read_only(criterion))
+    k_star = k_min + int(np.nanargmin(criterion))  # first minimum: ties go to smaller k
+    return KSelection(k_star, theta, estimator_id, _read_only(np.arange(k_min, k_max + 1)), _read_only(criterion))

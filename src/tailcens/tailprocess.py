@@ -27,7 +27,7 @@ import numpy as np
 from . import estimators
 from .censored import SortedCensoredSample, _read_only, _replicates
 from .distributions import Pareto
-from .rules import _check_count, _check_fit, _check_k
+from .rules import _check_count, _check_fit, _check_k, _float_array
 
 __all__ = [
     "TailProcessCurve", "GofReport", "DegenerateNullError", "delta_curve", "integrate_delta", "ks_stat", "cvm_stat",
@@ -57,7 +57,7 @@ class TailProcessCurve:
     n: int
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _float_array(x, "x")
         if not np.all(x >= 1.0):  # NaN is rejected too
             raise ValueError("the tail step function is defined for x >= 1")
         out = self.levels[np.searchsorted(self.breakpoints, x, side="right")]
@@ -91,9 +91,9 @@ def _steps(weights: np.ndarray, positions: np.ndarray, mask: np.ndarray) -> tupl
 
 def delta_curve(s: SortedCensoredSample, k: int) -> TailProcessCurve:
     """Exact piecewise representation of the tail step function."""
-    _check_k(k, s.n, lo=2)
+    k = _check_k(k, s.n, lo=2)
     breakpoints, levels = map(_read_only, _steps(*_atoms(s, k)))
-    return TailProcessCurve(breakpoints=breakpoints, levels=levels, k=int(k), n=s.n)
+    return TailProcessCurve(breakpoints=breakpoints, levels=levels, k=k, n=s.n)
 
 
 def integrate_delta(curve: TailProcessCurve) -> float:
@@ -142,7 +142,7 @@ def ks_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> floa
     The supremum over x >= 1 of |curve(x) - x**(-1/gamma_hat)/p|, times
     sqrt(k), evaluated exactly piece by piece.
     """
-    _check_fit(gamma_hat, p)
+    gamma_hat, p = _check_fit(gamma_hat, p)
     return float(_ks_from_curve(delta_curve(s, k), gamma_hat, p))
 
 
@@ -154,7 +154,7 @@ def cvm_stat(s: SortedCensoredSample, k: int, gamma_hat: float, p: float) -> flo
     closed form per piece (the integrand expands into three elementary power
     terms on each constant piece, including the unbounded final one).
     """
-    _check_fit(gamma_hat, p)
+    gamma_hat, p = _check_fit(gamma_hat, p)
     return float(_cvm_from_curve(delta_curve(s, k), gamma_hat, p))
 
 
@@ -194,7 +194,7 @@ def _fit_stats(v: SortedCensoredSample, k: int) -> tuple[np.ndarray, np.ndarray,
     live, counts = p > 0.0, np.count_nonzero(mask, axis=-1)
     for count in set(counts[live].tolist()):  # not np.unique, which imports numpy.ma
         rows = live & (counts == count)
-        curve = TailProcessCurve(*_steps(weights[rows], positions[rows], mask[rows]), int(k), v.n)
+        curve = TailProcessCurve(*_steps(weights[rows], positions[rows], mask[rows]), k, v.n)
         g, q = gamma[rows, None], p[rows, None]
         ks[rows], cvm[rows] = _ks_from_curve(curve, g, q), _cvm_from_curve(curve, g, q)
     return ks, cvm, p
@@ -217,8 +217,9 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     :func:`_fit_stats`.  A null index so small that a null replicate's
     top k+1 values all tie (its ``hill`` is 0) raises DegenerateNullError.
     """
-    _check_count(reps, 100, "reps")  # fewer leave no usable p-value
-    _check_k(k, s.n, lo=2)
+    reps = _check_count(reps, 100, "reps")  # fewer leave no usable p-value
+    seed = _check_count(seed, 0, "seed")
+    k = _check_k(k, s.n, lo=2)
     p = estimators.p_hat(s, k)
     if p == 0.0 or p == 1.0:
         raise DegenerateNullError(f"estimated proportion p = {p:g} leaves no censoring null to simulate from")
@@ -242,9 +243,9 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
         cvm=float(cvm_obs[0]),
         p_value_ks=(1 + ks_ge) / (reps + 1),
         p_value_cvm=(1 + cvm_ge) / (reps + 1),
-        k=int(k),
+        k=k,
         n=s.n,
-        reps=int(reps),
-        seed=int(seed),
+        reps=reps,
+        seed=seed,
         degenerate=degenerate,
     )

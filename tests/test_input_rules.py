@@ -4,7 +4,11 @@ The library raises ValueError with the rule's message; the CLI turns the same
 message into a usage error (exit 2).
 """
 
+import dataclasses
 import datetime as dt
+import json
+import numbers
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,11 +16,14 @@ import numpy as np
 import pytest
 
 from tailcens import (
+    Burr,
     CsvFormatError,
+    Frechet,
     LogGamma,
     McConfig,
     Pareto,
     asymptotic_ci,
+    censor,
     cvm_stat,
     default_k_grid,
     delta_curve,
@@ -37,7 +44,7 @@ from tailcens import (
 from tailcens.cli import main
 from tailcens.estimators import ESTIMATOR_IDS, _check_count, _check_fit, _check_level, _checked_id, attached_ci
 from tailcens.parallel import _check_workers
-from tailcens.rules import _check_flag, _is_number
+from tailcens.rules import _check_flag, _number
 from tailcens.selection import _check_theta
 
 
@@ -138,11 +145,11 @@ class TestReissThomas:
 class TestNumberRule:
     @pytest.mark.parametrize("value", [0.25, 0, np.float64(0.25), np.int64(0), Fraction(1, 4)])
     def test_numbers(self, value):
-        assert _is_number(value) and _check_theta(value) == value
+        assert _number(value) == _check_theta(value) == value and type(_check_theta(value)) is float
 
     @pytest.mark.parametrize("value", [True, np.bool_(False), Decimal("0.25"), "0.25", None])
     def test_not_numbers(self, value):
-        assert not _is_number(value)
+        assert np.isnan(_number(value))
         with pytest.raises(ValueError, match="theta must be a number"):
             _check_theta(value)
 
@@ -510,3 +517,154 @@ class TestInfiniteAlpha:
     def test_rejected(self, sample):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 170\.624\], where Gamma\(alpha \+ 1\) is finite"):
             weighted_functional(sample, 10, alpha=float("inf"))
+
+
+# The rule matrix: odd values crossed with the entry points, each value made from the entry's valid base value.
+# Every pair either raises the entry's rule error, or returns builtin-typed results bit-equal to the results for
+# the equal Python int or float: the rule hands back what it accepts, so no float32, Fraction or numpy scalar
+# reaches a kernel.
+_VALUES = {
+    "float32": np.float32,
+    "int64": np.int64,
+    "fraction": Fraction,
+    "int_2**70": lambda base: 2**70,
+    "int_2**2000": lambda base: 2**2000,
+    "string": str,
+    "bool": lambda base: True,
+    "numpy_bool": lambda base: np.bool_(True),
+    "array_0d": np.array,
+    "nan": lambda base: float("nan"),
+    "inf": lambda base: float("inf"),
+    "-inf": lambda base: -float("inf"),
+}
+
+
+def _scalar_equal(value):
+    """The Python int or float equal to a number; None for a string, a bool or an array."""
+    if isinstance(value, (bool, np.bool_, str, np.ndarray)):
+        return None
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
+def _array_equal(value):
+    """The Python float equal to a value numpy holds as numbers (not bools); None otherwise."""
+    arr = np.asarray(value)
+    return float(arr) if arr.dtype.kind in "iuf" else None
+
+
+def _model(cls, at, value):
+    params = [2.0] * len(dataclasses.fields(cls))
+    params[at] = value
+    model = cls(*params)
+    with np.errstate(over="ignore"):  # 2**70 as an index overflows the draw, the same for the equal float
+        return model, model.true_evi, model.sample(3, stream(0))
+
+
+_FIT = r"a fitted tail needs numbers"
+_MODELS = [(cls, at, name) for cls in (Burr, Frechet, LogGamma, Pareto)
+           for at, name in enumerate(f.name for f in dataclasses.fields(cls))]
+
+# (entry point and argument, call(sample, value), base value, rule pattern, equal value, runs a work size)
+_ENTRIES = [
+    ("asymptotic_ci-gamma", lambda s, v: asymptotic_ci(v, 0.5, 10), 0.5, _FIT, _scalar_equal, False),
+    ("asymptotic_ci-p", lambda s, v: asymptotic_ci(0.5, v, 10), 0.5, _FIT, _scalar_equal, False),
+    ("asymptotic_ci-k", lambda s, v: asymptotic_ci(0.5, 0.5, v), 10, r"k must be an integer in \[1, inf\]",
+     _scalar_equal, False),
+    ("asymptotic_ci-level", lambda s, v: asymptotic_ci(0.5, 0.5, 10, v), 0.9, r"level must be a number in \(0, 1\)",
+     _scalar_equal, False),
+    ("attached_ci-value", lambda s, v: attached_ci("new", v, 0.5, 10, 0.9), 0.5, _FIT, _scalar_equal, False),
+    ("attached_ci-level", lambda s, v: attached_ci("new", 0.5, 0.5, 10, v), 0.9, r"level must be a number in \(0, 1\)",
+     _scalar_equal, False),
+    ("ks_stat-gamma", lambda s, v: ks_stat(s, 10, v, 0.5), 0.3, _FIT, _scalar_equal, False),
+    ("ks_stat-p", lambda s, v: ks_stat(s, 10, 0.3, v), 0.5, _FIT, _scalar_equal, False),
+    ("cvm_stat-gamma", lambda s, v: cvm_stat(s, 10, v, 0.5), 0.3, _FIT, _scalar_equal, False),
+    ("cvm_stat-p", lambda s, v: cvm_stat(s, 10, 0.3, v), 0.5, _FIT, _scalar_equal, False),
+    ("reiss_thomas_k-theta", lambda s, v: reiss_thomas_k(s, "hill", theta=v), 0.25,
+     r"theta must be a number in \[0, 0\.5\]", _scalar_equal, False),
+    ("reiss_thomas_k-k_min", lambda s, v: reiss_thomas_k(s, "hill", k_min=v), 3,
+     r"k_min must be an integer in \[2, 58\]", _scalar_equal, False),
+    ("reiss_thomas_k-k_max", lambda s, v: reiss_thomas_k(s, "hill", k_max=v), 40,
+     r"k_max must be an integer in \[3, 59\]", _scalar_equal, False),
+    ("weighted_functional-alpha", lambda s, v: weighted_functional(s, 10, alpha=v), 2.0, r"alpha must (be a|lie in)",
+     _scalar_equal, False),
+    ("gof_pvalue-reps", lambda s, v: gof_pvalue(s, 10, reps=v, seed=3), 100, r"reps must be an integer in \[100, inf\]",
+     _scalar_equal, True),
+    ("gof_pvalue-seed", lambda s, v: gof_pvalue(s, 10, reps=100, seed=v), 3, r"seed must be an integer in \[0, inf\]",
+     _scalar_equal, False),
+    ("gof_pvalue-workers", lambda s, v: gof_pvalue(s, 10, reps=100, seed=3, workers=v), 1,
+     r"workers must be an integer >= 1", _scalar_equal, False),
+    ("run_variance_check-n", lambda s, v: run_variance_check(Pareto(1.0), Pareto(1.0), v, 5, 3, 0), 50,
+     r"n must be an integer in \[1, inf\]", _scalar_equal, True),
+    ("run_variance_check-k", lambda s, v: run_variance_check(Pareto(1.0), Pareto(1.0), 50, v, 3, 0), 5,
+     r"k must be an integer in \[2, 49\]", _scalar_equal, False),
+    ("run_variance_check-reps", lambda s, v: run_variance_check(Pareto(1.0), Pareto(1.0), 50, 5, v, 0), 3,
+     r"reps must be an integer in \[2, inf\]", _scalar_equal, True),
+    ("run_variance_check-seed", lambda s, v: run_variance_check(Pareto(1.0), Pareto(1.0), 50, 5, 3, v), 0,
+     r"seed must be an integer in \[0, inf\]", _scalar_equal, False),
+    ("McConfig-n", lambda s, v: small_config(n=v), 80, r"n must be an integer in \[3, inf\]", _scalar_equal, False),
+    ("McConfig-reps", lambda s, v: small_config(reps=v), 2, r"reps must be an integer in \[1, inf\]", _scalar_equal,
+     False),
+    ("McConfig-seed", lambda s, v: small_config(seed=v), 3, r"seed must be an integer in \[0, inf\]", _scalar_equal,
+     False),
+    ("McConfig-k_grid", lambda s, v: small_config(k_grid=(5, v)), 10, r"k must be an integer in \[1, 79\]",
+     _scalar_equal, False),
+    ("stream-seed", lambda s, v: stream(v).random(3), 0, r"seed must be an integer in \[0, inf\]", _scalar_equal,
+     False),
+    ("stream-key", lambda s, v: stream(0, v).random(3), 1, r"key must be an integer in \[0, inf\]", _scalar_equal,
+     False),
+    *[(f"{cls.__name__}-{name}", lambda s, v, cls=cls, at=at: _model(cls, at, v), 2.0,
+       rf"parameter {name} must be a finite positive number", _scalar_equal, False) for cls, at, name in _MODELS],
+    ("cdf", lambda s, v: Pareto(1.0).cdf(v), 2.0, r"cdf argument must (be an array of numbers|be finite)",
+     _array_equal, False),
+    ("quantile", lambda s, v: Pareto(1.0).quantile(v), 0.5,
+     r"quantile argument must (be an array of numbers|lie strictly inside)", _array_equal, False),
+    ("curve", lambda s, v: delta_curve(s, 10)(v), 2.0, r"x must be an array of numbers|defined for x >= 1",
+     _array_equal, False),
+    ("censor-x", lambda s, v: censor([v], [3.0]), 2.0, r"x must be an array of numbers|must hold no NaN", _array_equal,
+     False),
+    ("censor-y", lambda s, v: censor([3.0], [v]), 2.0, r"y must be an array of numbers|must hold no NaN", _array_equal,
+     False),
+]
+
+
+def _bit_equal(got, want) -> bool:
+    """Values of the same builtin types, floats by repr (-0.0 and NaN too), arrays bit for bit, field by field."""
+    if dataclasses.is_dataclass(want):
+        return type(got) is type(want) and all(
+            _bit_equal(getattr(got, f.name), getattr(want, f.name)) for f in dataclasses.fields(want))
+    if isinstance(want, np.ndarray):
+        return type(got) is np.ndarray and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if isinstance(want, tuple):
+        return type(got) is tuple and len(got) == len(want) and all(map(_bit_equal, got, want))
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+_MATRIX = [pytest.param(call, make(base), pattern, equal, id=f"{entry}-{value}")
+           for entry, call, base, pattern, equal, work in _ENTRIES for value, make in _VALUES.items()
+           if not (work and value == "int_2**70")]  # 2**70 replicates or values cannot run; McConfig takes them
+
+
+class TestRuleMatrix:
+    @pytest.mark.parametrize("call,value,pattern,equal", _MATRIX)
+    def test_rule_error_or_the_builtin_result(self, sample, call, value, pattern, equal):
+        same = equal(value)
+        if same is not None:
+            try:
+                want = call(sample, same)
+            except ValueError as exc:  # the equal builtin breaks the rule too
+                assert re.search(pattern, str(exc)), str(exc)
+                same = None
+        if same is None:
+            with pytest.raises(ValueError, match=pattern):
+                call(sample, value)
+        else:
+            assert _bit_equal(call(sample, value), want)
+
+    def test_config_is_json_ready(self):
+        cfg = small_config(n=np.int64(80), reps=np.int32(2), seed=np.uint8(3), k_grid=[np.int64(5), 10])
+        assert json.dumps([cfg.n, cfg.reps, cfg.seed, cfg.k_grid]) == "[80, 2, 3, [5, 10]]"
+
+    def test_gof_seed_checked_on_entry(self):
+        s = sort_censored([1.0, 2.0, 3.0, 4.0, 5.0], [1] * 5)  # p_hat = 1: no null to simulate from
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, inf\], got -1$"):
+            gof_pvalue(s, 3, reps=100, seed=-1)

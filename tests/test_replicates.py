@@ -71,7 +71,7 @@ class TestStructure:
         assert type(block) is censored.SortedCensoredSample and block.z.shape == (3, N)
 
     def test_one_number_predicate(self):
-        assert estimators._is_number is rules._is_number
+        assert estimators._number is rules._number
 
     @pytest.mark.parametrize(
         "name", ["_check_level", "_check_fit", "_check_theta", "_check_workers", "_require_positive"]
