@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import parallel, rng  # lazy: only the replicate engine runs them
-from .rules import _check_count, _check_workers, _float_array
+from .rules import _check_count, _check_instance, _check_models, _check_workers, _float_array
 
 if TYPE_CHECKING:
     from .distributions import HeavyTailModel
@@ -122,19 +122,24 @@ def censor(x, y) -> tuple[np.ndarray, np.ndarray]:
     return z, (x <= y).astype(np.int64)
 
 
-def _draw(model_x: HeavyTailModel, model_y: HeavyTailModel, shape: tuple[int, int], rngs_x,
-          rngs_y=None) -> tuple[np.ndarray, np.ndarray]:
-    """The one draw path: row i from the i-th of ``rngs_x`` and ``rngs_y`` (None: complete data), checked, censored."""
+def _draw(model_x: HeavyTailModel, model_y: HeavyTailModel, x: np.ndarray, y: np.ndarray, rngs_x, rngs_y=None):
+    """The one draw path: row i of x, y from the i-th of rngs_x, rngs_y (None: complete data), checked, censored.
+
+    Leaves z = min(x, y) in x's buffer and returns delta = x <= y as bools (True for complete data).
+    """
     with np.errstate(over="ignore"):  # the checks below, as generate_censored states them, catch each overflow
-        x = model_x._rows(np.empty(shape), rngs_x)
-        y = None if rngs_y is None else model_y._rows(np.empty(shape), rngs_y)
+        model_x._rows(x, rngs_x)
+        if rngs_y is not None:
+            model_y._rows(y, rngs_y)
     if not np.all(np.isfinite(x) & (x > 0)):
         raise ValueError(f"{model_x!r} drew lifetimes outside (0, inf): its parameters are too extreme to simulate")
-    if y is None:
-        return x, np.ones(shape, dtype=np.int64)
+    if rngs_y is None:
+        return True
     if not np.all(y > 0):  # also NaN
         raise ValueError(f"{model_y!r} drew censoring times <= 0: its parameters are too extreme to simulate")
-    return censor(x, y)
+    delta = x <= y
+    np.minimum(x, y, out=x)
+    return delta
 
 
 def generate_censored(
@@ -151,9 +156,10 @@ def generate_censored(
     ValueError naming ``model_x``, a censoring time that underflows to 0 one
     naming ``model_y``; one that overflows to inf observes its lifetime.
     """
-    rng_x, rng_y = rng.spawn(2)
-    z, delta = _draw(model_x, model_y, (1, _check_count(n, 1, "n")), [rng_x], [rng_y])
-    return z[0], delta[0]
+    _check_models(model_x, model_y)
+    rng_x, rng_y = _check_instance(rng, np.random.Generator, "rng").spawn(2)
+    z, y = np.empty((1, n := _check_count(n, 1, "n"))), np.empty((1, n))
+    return z[0], _draw(model_x, model_y, z, y, [rng_x], [rng_y])[0].astype(np.int64)
 
 
 # a replicate block holds at most this many values (rows * n): see _replicates
@@ -161,26 +167,26 @@ _BLOCK_VALUES = 2**14
 _KEY_ROWS = 2**12  # and one pass of key derivation at most this many rows
 
 
-def _blocks(n: int, reps: int) -> list[range]:
-    """Consecutive replicate index ranges of max(1, _BLOCK_VALUES // n) rows, covering 0..reps-1."""
-    rows = max(1, _BLOCK_VALUES // _check_count(n, 1, "n"))
-    return [range(lo, min(reps, lo + rows)) for lo in range(0, reps, rows)]
+def _blocks(n: int, reps: int) -> range:
+    """The first replicate of each block of max(1, _BLOCK_VALUES // n) rows (the step), covering 0..reps-1."""
+    return range(0, reps, max(1, _BLOCK_VALUES // _check_count(n, 1, "n")))
 
 
-def _top_sorted(z: np.ndarray, delta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _top_sorted(z: np.ndarray, delta: np.ndarray, m: int, spare: np.ndarray | None = None):
     """The top ``m`` of each row of float ``z`` > 0 in ``_sorted``'s order, and their top-down uncensored counts.
 
     One uint64 key per point carries that order: z > 0, so its float bits order as integers, and the
     low bit, set when censored, puts deaths first on ties.  Equal keys are equal pairs, so partitioning at
     the cut and sorting the ``m`` keys above it keeps the whole row's top ``m``, ties at the cut included.
+    With ``spare``, a float array of z's shape, the key is built in z's buffer and whole rows' delta in spare's.
     """
-    key = z.view(np.uint64) << 1
+    key = np.left_shift(z.view(np.uint64), 1, out=None if spare is None else z.view(np.uint64))
     key |= delta == 0
     if (cut := key.shape[-1] - m) > 0:
         key.partition(cut, axis=-1)
-        key = key[..., cut:].copy()
+        key, spare = key[..., cut:].copy(), None
     key.sort(axis=-1)
-    delta = (key & 1).view(np.int64)
+    delta = np.bitwise_and(key, 1, out=None if spare is None else spare.view(np.uint64)).view(np.int64)
     np.subtract(1, delta, out=delta)
     key >>= 1
     return key.view(float), delta, np.cumsum(delta[..., ::-1], axis=-1)
@@ -192,17 +198,21 @@ def _stream_keys(seed: int, rows: range, complete_data: bool) -> list[np.ndarray
 
 
 def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: int, block: range,
-                complete_data: bool = False, top: int | None = None, keys=None) -> SortedCensoredSample:
+                complete_data: bool = False, top: int | None = None, keys=None, buffers=()) -> SortedCensoredSample:
     """Replicates ``block`` of size ``n`` as rows, row j drawn from stream (seed, block[j]) as a lone replicate is.
 
     All lifetimes observed (drawn from the stream itself), or censored; both
     drawn and checked by :func:`_draw`; each row sorted whole, or cut to its
     ``top`` largest values.  ``keys``, the block's :func:`_stream_keys`, are
-    derived here when not given.
+    derived here when not given.  The lifetimes, then the censoring times,
+    are drawn into ``buffers``, float arrays of at least ``len(block)`` rows
+    of ``n`` (new ones where fewer than two are given), and all later work
+    is in them; whole rows are returned in them.
     """
     rngs = [rng._keyed(k) for k in (_stream_keys(seed, block, complete_data) if keys is None else keys)]
-    z, delta = _draw(model_x, model_y, (len(block), n), *rngs)
-    return SortedCensoredSample(*map(_read_only, _sorted(z, delta) if top is None else _top_sorted(z, delta, top)))
+    x, y = [b[: len(block)] for b in buffers] + [np.empty((len(block), n)) for _ in range(2 - len(buffers))]
+    delta = _draw(model_x, model_y, x, y, *rngs)
+    return SortedCensoredSample(*map(_read_only, _top_sorted(x, delta, n if top is None else top, y)))
 
 
 def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: int, seed: int, score,
@@ -217,23 +227,32 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
     (seed, r_j) for complete data; a process derives the keys of its own
     blocks in bulk, up to _KEY_ROWS rows a pass, so their memory does not
     grow with ``reps``.  Rows are sorted whole or cut to their ``top``
-    largest values (:func:`_draw_block`).  ``score`` maps the block, a
-    SortedCensoredSample with a leading row axis, to an array of leading
-    entries joined across blocks, with the arithmetic of a lone sample.  So
-    no output bit depends on the block size or ``workers``.  ``score`` must
-    return all it computes: a forked block's side effects are lost.
+    largest values (:func:`_draw_block`) in buffers made here, before any
+    fork, and reused by every block a process runs: the lifetimes' buffer,
+    and for whole rows the censoring times'.  ``score`` maps the
+    block, a SortedCensoredSample with a leading row axis, to an array of
+    leading entries joined across blocks, with the arithmetic of a lone
+    sample.  So no output bit depends on the block size or ``workers``.
+    ``score`` must return all it computes: a forked block's side effects are
+    lost.  It must not keep the block, or a view of it, past its call: the
+    next block overwrites it.
     """
-    blocks = _blocks(n, reps)
-    cuts = parallel._cuts(len(blocks), _check_workers(workers))
-    per_pass = max(1, _KEY_ROWS // len(blocks[0]))  # blocks a key pass derives, within one process's range
+    starts = _blocks(n, reps)
+    size = starts.step  # rows a block
+    cuts = parallel._cuts(len(starts), _check_workers(workers))
+    per_pass = max(1, _KEY_ROWS // size)  # blocks a key pass derives, within one process's range
     # a range runs its blocks in order, so one pass's keys are held at a time
     pass_keys = lru_cache(maxsize=1)(lambda rows: _stream_keys(seed, rows, complete_data))
+    # made per call before the fork, so no two threads share one; a cut block's censoring times are idle once it is
+    # cut, so they take a buffer per block, whose memory the scorer then reuses
+    buffers = [np.empty((min(reps, size), n)) for _ in range(2 if top is None else 1)]
 
     def block_score(b: int) -> np.ndarray:
         cut = next(c for c in cuts if b in c)
         first = b - (b - cut.start) % per_pass
-        rows = range(blocks[first].start, blocks[min(first + per_pass, cut.stop) - 1].stop)
-        keys = [k[blocks[b].start - rows.start : blocks[b].stop - rows.start] for k in pass_keys(rows)]
-        return score(_draw_block(model_x, model_y, n, seed, blocks[b], complete_data, top, keys))
+        rows = range(reps)[first * size : min(first + per_pass, cut.stop) * size]  # the replicates of a key pass
+        at = slice((b - first) * size, (b - first + 1) * size)  # block b's rows within them
+        keys = [k[at] for k in pass_keys(rows)]
+        return score(_draw_block(model_x, model_y, n, seed, rows[at], complete_data, top, keys, buffers))
 
-    return np.concatenate(parallel.replicate_map(block_score, len(blocks), workers))
+    return np.concatenate(parallel.replicate_map(block_score, len(starts), workers))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rules import _check_count, _float_array, _require_positive
+from .rules import _check_count, _check_instance, _float_array, _require_positive
 
 __all__ = ["Burr", "Frechet", "LogGamma", "Pareto", "HeavyTailModel", "CensoringProfile", "censoring_profile",
            "parse_model", "format_model", "ModelSpecError"]
@@ -36,7 +36,7 @@ class ModelSpecError(ValueError):
 
 
 class HeavyTailModel:
-    """Base class for the supported families: each defines ``_cdf`` and ``_quantile`` on checked float arrays."""
+    """Base of the families: each defines ``_cdf``, and ``_quantile`` in its argument, on checked float arrays."""
 
     def __post_init__(self):
         """Apply the model parameter rule to every field, in field order, and keep each as the float it returns."""
@@ -56,7 +56,7 @@ class HeavyTailModel:
         u = _float_array(u, "quantile argument")
         if not np.all((u > 0.0) & (u < 1.0)):
             raise ValueError("quantile argument must lie strictly inside (0, 1)")
-        out = self._quantile(u)
+        out = self._quantile(u.copy())  # u may be the caller's own array
         return float(out) if np.ndim(out) == 0 else out
 
     @property
@@ -87,8 +87,13 @@ class Burr(HeavyTailModel):
     def _cdf(self, x):
         return 1.0 - (self.beta / (self.beta + x**self.tau)) ** self.lam
 
-    def _quantile(self, u):
-        return (self.beta * ((1.0 - u) ** (-1.0 / self.lam) - 1.0)) ** (1.0 / self.tau)
+    def _quantile(self, u):  # (beta * ((1 - u)**(-1/lam) - 1))**(1/tau) in place; **= is numpy's scalar-power path
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.lam
+        u -= 1.0
+        u *= self.beta
+        u **= 1.0 / self.tau
+        return u
 
     @property
     def true_evi(self) -> float:
@@ -105,8 +110,10 @@ class Frechet(HeavyTailModel):
         with np.errstate(divide="ignore", over="ignore"):
             return np.where(x > 0.0, np.exp(-np.maximum(x, 1e-300) ** (-1.0 / self.gamma)), 0.0)
 
-    def _quantile(self, u):
-        return (-np.log(u)) ** (-self.gamma)
+    def _quantile(self, u):  # (-log u)**(-gamma), in place
+        np.negative(np.log(u, out=u), out=u)
+        u **= -self.gamma
+        return u
 
     @property
     def true_evi(self) -> float:
@@ -142,7 +149,7 @@ class LogGamma(HeavyTailModel):
         # gamma variates of log X, row by row; the gamma quantile has no closed form
         for row, rng in zip(out, rngs):
             row[:] = rng.gamma(shape=self.a, scale=self.b, size=row.size)
-        return np.exp(out)
+        return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -154,8 +161,10 @@ class Pareto(HeavyTailModel):
     def _cdf(self, x):
         return np.where(x < 1.0, 0.0, 1.0 - np.maximum(x, 1.0) ** (-1.0 / self.gamma))
 
-    def _quantile(self, u):
-        return (1.0 - u) ** (-self.gamma)
+    def _quantile(self, u):  # (1 - u)**(-gamma), in place
+        np.subtract(1.0, u, out=u)
+        u **= -self.gamma
+        return u
 
     @property
     def true_evi(self) -> float:
@@ -199,7 +208,7 @@ def parse_model(spec: str) -> HeavyTailModel:
     Grammar: ``burr:<beta>,<tau>,<lambda> | frechet:<gamma> |
     loggamma:<a>,<b> | pareto:<gamma>``.  Errors name the offending field.
     """
-    name, sep, argstr = spec.partition(":")
+    name, sep, argstr = _check_instance(spec, str, "spec").partition(":")
     name = name.strip().lower()
     if name not in _GRAMMAR:
         known = "|".join(sorted(_GRAMMAR))

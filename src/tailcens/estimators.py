@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import parallel
-from .rules import _check_count, _check_fit, _check_k, _check_level, _number
+from .rules import _check_count, _check_fit, _check_k, _check_level, _float_array, _number
 
 if TYPE_CHECKING:
     from .censored import SortedCensoredSample
@@ -140,13 +140,13 @@ def weighted_functional(s: SortedCensoredSample, k: int, g=None, alpha: float = 
             raise ValueError(f"alpha must lie in (0, 170.624], where Gamma(alpha + 1) is finite, got {alpha}")
         gvals = 1.0
     else:
+        gvals = _float_array([g(t) for t in np.arange(1, k) / (k + 1)], "g's values", ndim=1)  # True is no weight
+        if np.any(gvals < 0) or not np.all(np.isfinite(gvals)):
+            raise ValueError("weight function must be finite and nonnegative on (0, 1)")
         from scipy import integrate  # imported on use: scipy is slow to load
         norm, _ = integrate.quad(lambda x: g(x) * (-np.log(x)) ** alpha, 0.0, 1.0, epsabs=1e-10)
         if not np.isfinite(norm) or norm <= 0.0:
             raise ValueError(f"normalizer integral must be finite and > 0, got {norm}")
-        gvals = np.asarray([g(t) for t in np.arange(1, k) / (k + 1)], dtype=float)
-        if np.any(gvals < 0) or not np.all(np.isfinite(gvals)):
-            raise ValueError("weight function must be finite and nonnegative on (0, 1)")
     _, weights, logs = next(_new_factors(s, np.array([k])))
     # "* 1.0" and "** 1.0" are exact: g = None, alpha = 1 give the new kernel's bits
     return float(np.sum(weights * gvals * logs**alpha)) / norm

@@ -20,7 +20,7 @@ from .censored import _replicates
 from .distributions import HeavyTailModel, format_model
 from .estimators import _checked_id, _new_path, _sweep
 from .io import fmt
-from .rules import _check_count, _check_flag, _check_k, _check_workers
+from .rules import _check_count, _check_flag, _check_k, _check_models, _check_workers
 
 __all__ = ["McConfig", "McResult", "default_k_grid", "run_bias_rmse", "run_variance_check", "write_result_csv",
            "write_meta", "RESULT_CSV_HEADER"]
@@ -51,6 +51,7 @@ class McConfig:
     complete_data: bool = False
 
     def __post_init__(self):
+        _check_models(self.model_x, self.model_y)
         for name, lo in (("reps", 1), ("n", 3), ("seed", 0)):  # each field keeps what its rule returns
             object.__setattr__(self, name, _check_count(getattr(self, name), lo, name))
         _check_flag(self.complete_data, "complete_data")
@@ -124,6 +125,7 @@ def run_variance_check(
     ``censored._replicates`` over up to ``workers`` processes, each row
     keeping only its top k+1 values.
     """
+    _check_models(model_x, model_y)
     reps = _check_count(reps, 2, "reps")  # a sample variance needs two values
     seed = _check_count(seed, 0, "seed")
     _check_flag(complete_data, "complete_data")

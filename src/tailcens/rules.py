@@ -68,6 +68,20 @@ def _check_workers(workers) -> int:
     return value
 
 
+def _check_instance(value, kind: type, name: str):
+    """Return ``value`` if it is a ``kind``, such as a model or a generator; raise ValueError otherwise."""
+    if not isinstance(value, kind):  # a spec string is not a model, nor a seed a generator
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _check_models(model_x, model_y) -> None:
+    """Raise ValueError unless ``model_x`` and ``model_y`` are models: the model rule, wherever a pair enters."""
+    from .distributions import HeavyTailModel  # on use: the scalar rules load no numpy
+    for name, model in (("model_x", model_x), ("model_y", model_y)):
+        _check_instance(model, HeavyTailModel, name)
+
+
 def _require_positive(**params) -> dict[str, float]:
     """Return the model parameters as floats if each is a finite number > 0; raise ValueError at the first not."""
     for name, value in params.items():

@@ -42,7 +42,7 @@ TIES = Frechet(1e-15)
 
 
 def rows(n):
-    return len(_blocks(n, _BLOCK_VALUES)[0])
+    return _blocks(n, _BLOCK_VALUES).step
 
 
 def tie_counts(samples, k):
@@ -86,8 +86,15 @@ def config(model_x, model_y, n, reps, k_grid=None, complete_data=False):
 def test_block_sizes():
     assert _BLOCK_VALUES == 2**14
     assert [rows(n) for n in (200, 163, 2_000, 16_384, 20_000)] == [81, 100, 8, 1, 1]
-    assert [len(b) for b in _blocks(200, 163)] == [81, 81, 1]
-    assert [r for b in _blocks(200, 163) for r in b] == list(range(163))
+    starts = _blocks(200, 163)
+    assert [len(range(163)[lo : lo + starts.step]) for lo in starts] == [81, 81, 1]
+    assert [r for lo in starts for r in range(163)[lo : lo + starts.step]] == list(range(163))
+
+
+def test_blocks_are_built_on_use():
+    starts = _blocks(200, 2**70)  # a list of 2**70 / 81 blocks would never finish
+    assert type(starts) is range and starts.step == 81
+    assert range(2**70)[starts[-1] : starts[-1] + starts.step].stop == 2**70
 
 
 class TestGof:

@@ -31,6 +31,7 @@ from tailcens import (
     generate_censored,
     gof_pvalue,
     ks_stat,
+    parse_model,
     read_censored_csv,
     read_raw_records,
     reiss_thomas_k,
@@ -644,7 +645,38 @@ _MATRIX = [pytest.param(call, make(base), pattern, equal, id=f"{entry}-{value}")
            if not (work and value == "int_2**70")]  # 2**70 replicates or values cannot run; McConfig takes them
 
 
+def _model_rule(name, value):
+    return rf"^{name} must be a HeavyTailModel, got {re.escape(repr(value))}$"
+
+
+# (entry point and argument, call(sample), rule pattern): values the number table cannot build from a base value
+_NON_NUMBERS = [
+    ("McConfig-model_x", lambda s: small_config(model_x="pareto:1"), _model_rule("model_x", "pareto:1")),
+    ("McConfig-model_y", lambda s: small_config(model_y=Pareto), _model_rule("model_y", Pareto)),
+    ("run_variance_check-model_x", lambda s: run_variance_check("pareto:1", Pareto(1.0), 50, 5, 3, 0),
+     _model_rule("model_x", "pareto:1")),
+    ("run_variance_check-model_y", lambda s: run_variance_check(Pareto(1.0), None, 50, 5, 3, 0),
+     _model_rule("model_y", None)),
+    ("generate_censored-model_x", lambda s: generate_censored(1.0, Pareto(1.0), 5, stream(0)),
+     _model_rule("model_x", 1.0)),
+    ("generate_censored-rng", lambda s: generate_censored(Pareto(1.0), Pareto(1.0), 5, 0),
+     r"^rng must be a Generator, got 0$"),
+    ("parse_model-spec", lambda s: parse_model(123), r"^spec must be a str, got 123$"),
+    ("weighted_functional-g_bool", lambda s: weighted_functional(s, 10, g=lambda x: True),
+     r"^g's values must be a 1-D array of numbers, got a 1-D array of bool$"),
+    ("weighted_functional-g_string", lambda s: weighted_functional(s, 10, g=lambda x: "1"),
+     r"^g's values must be a 1-D array of numbers, got a 1-D array of <U1$"),
+    ("weighted_functional-g_array", lambda s: weighted_functional(s, 10, g=lambda x: np.ones(2)),
+     r"^g's values must be a 1-D array of numbers, got a 2-D array of float64$"),
+]
+
+
 class TestRuleMatrix:
+    @pytest.mark.parametrize("call,pattern", [pytest.param(c, p, id=entry) for entry, c, p in _NON_NUMBERS])
+    def test_non_number_rule_error(self, sample, call, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            call(sample)
+
     @pytest.mark.parametrize("call,value,pattern,equal", _MATRIX)
     def test_rule_error_or_the_builtin_result(self, sample, call, value, pattern, equal):
         same = equal(value)

@@ -44,13 +44,13 @@ class TestReplicateLoop:
     @pytest.mark.parametrize("top", [None, 11])
     def test_rows_joined_in_replicate_order(self, reps, top):
         model_x, model_y, seed = Pareto(1.0), Pareto(2.0), 4
-        got = _replicates(model_x, model_y, N, reps, seed, lambda v: v.z, 1, top=top)
+        got = _replicates(model_x, model_y, N, reps, seed, lambda v: v.z.copy(), 1, top=top)  # the next block reuses v
         m = N if top is None else top
         want = np.stack([oracle.draw(model_x, model_y, N, seed, r).z[N - m :] for r in range(reps)])
         assert np.array_equal(got, want)
 
     def test_complete_data_rows(self):
-        got = _replicates(Pareto(0.5), Pareto(1.0), N, 3, 2, lambda v: v.delta, 1, complete_data=True)
+        got = _replicates(Pareto(0.5), Pareto(1.0), N, 3, 2, lambda v: v.delta.copy(), 1, complete_data=True)
         assert got.shape == (3, N) and np.all(got == 1)
 
     @pytest.mark.parametrize("workers", [0, True, 1.5])
@@ -74,7 +74,8 @@ class TestStructure:
         assert estimators._number is rules._number
 
     @pytest.mark.parametrize(
-        "name", ["_check_level", "_check_fit", "_check_theta", "_check_workers", "_require_positive"]
+        "name", ["_check_level", "_check_fit", "_check_theta", "_check_workers", "_require_positive", "_check_instance",
+                 "_check_models"]
     )
     def test_scalar_rule_defined_in_rules_alone(self, name):
         assert getattr(rules, name).__module__ == "tailcens.rules"
