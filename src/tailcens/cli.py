@@ -60,7 +60,7 @@ def _count(lo: int, name: str):
 
 def _k_grid(text: str) -> tuple[int, ...]:
     # no sample yet: only the lower end of the threshold range applies
-    return tuple(rules._check_count(_parsed(int, part), 1, "k") for part in text.split(","))
+    return rules._check_distinct(tuple(rules._check_count(_parsed(int, k), 1, "k") for k in text.split(",")), "k_grid")
 
 
 def _estimator_ids(text: str) -> tuple[str, ...]:

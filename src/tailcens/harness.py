@@ -20,7 +20,7 @@ from .censored import _replicates
 from .distributions import HeavyTailModel, format_model
 from .estimators import _checked_id, _new_path, _sweep
 from .io import fmt
-from .rules import _check_count, _check_flag, _check_k, _check_models, _check_workers
+from .rules import _check_count, _check_distinct, _check_flag, _check_k, _check_models, _check_workers
 
 __all__ = ["McConfig", "McResult", "default_k_grid", "run_bias_rmse", "run_variance_check", "write_result_csv",
            "write_meta", "RESULT_CSV_HEADER"]
@@ -59,6 +59,7 @@ class McConfig:
             if not len(values := getattr(self, name)):
                 raise ValueError(f"{name} must not be empty")
             object.__setattr__(self, name, tuple(map(rule, values)))  # a tuple of ints, or of ids
+        _check_distinct(self.k_grid, "k_grid")
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,15 @@ def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
     sums = np.zeros((2, len(cfg.estimators), ks.size))  # the nansums of err and err**2 so far
 
     def fold(v) -> np.ndarray:  # adds the block to sums and returns its (1, estimators, k grid) defined counts
-        rows = np.empty((len(v.z) + 1,) + sums.shape)  # sums, then err and err**2 of each replicate
-        rows[0], err = sums, rows[1:, 0]
-        for e, est in enumerate(cfg.estimators):  # each sweep straight into its column: no block-sized stack
-            np.subtract(_sweep(v, est, ks), gamma1, out=err[:, e])
-        np.multiply(err, err, out=rows[1:, 1])
-        counts = np.count_nonzero(~np.isnan(err), axis=0)[None]  # before the NaNs go
-        np.copyto(rows, 0.0, where=np.isnan(rows))  # nansum's own steps, in place: no block-sized copy
-        with np.errstate(invalid="ignore"):  # the running sum first: replicate after replicate, as one nansum adds
-            np.add.reduce(rows, axis=0, out=sums)
+        rows = np.empty((len(v.z) + 1, 2, ks.size))  # an estimator's sums, then err and err**2 of each replicate
+        counts = np.empty((1, len(cfg.estimators), ks.size), dtype=np.intp)
+        for e, est in enumerate(cfg.estimators):  # one estimator at a time: no block-sized stack of them all
+            rows[0], err = sums[:, e], np.subtract(_sweep(v, est, ks), gamma1, out=rows[1:, 0])
+            np.multiply(err, err, out=rows[1:, 1])
+            counts[0, e] = np.count_nonzero(~np.isnan(err), axis=0)  # before the NaNs go
+            np.copyto(rows, 0.0, where=np.isnan(rows))  # nansum's own steps, in place: no block-sized copy
+            with np.errstate(invalid="ignore"):  # the running sum first: replicate after replicate, as one nansum adds
+                np.add.reduce(rows, axis=0, out=sums[:, e])  # rows of 2+ values: numpy sums 1-value rows pairwise
         return counts
 
     counts = _replicates(cfg.model_x, cfg.model_y, cfg.n, cfg.reps, cfg.seed, fold, 1, cfg.complete_data).sum(0)

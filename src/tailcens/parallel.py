@@ -42,11 +42,12 @@ def _cuts(count: int, limit: int, running=None, least: int = 0) -> list[range]:
 def replicate_map(fn, count: int, workers: int = 1) -> list:
     """``[fn(r) for r in range(count)]`` for any ``workers``, each range of :func:`_cuts` run in index order.
 
-    The first range runs here and each other in a forked child (:func:`fork_map`).  ``censored._replicates`` maps it
-    over replicate blocks.
+    The first range runs here and each other in a forked child (:func:`fork_map`), item 0 before the fork where there
+    are several: each child then starts warm, with one item's set-up and pages.  ``censored._replicates`` uses it.
     """
     cuts = _cuts(count, _check_workers(workers))
-    return [value for part in fork_map(lambda cut: [fn(r) for r in cut], cuts) for value in part]
+    head, cuts[0] = ([fn(0)], cuts[0][1:]) if len(cuts) > 1 else ([], cuts[0])
+    return head + [value for part in fork_map(lambda cut: [fn(r) for r in cut], cuts) for value in part]
 
 
 def fork_map(fn, parts) -> list:

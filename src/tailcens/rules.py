@@ -33,6 +33,13 @@ def _check_count(value, lo: int, name: str) -> int:
     return _check_k(value, math.inf, lo, name=name)
 
 
+def _check_distinct(values: tuple, name: str) -> tuple:
+    """Return ``values`` if no two are equal; raise ValueError otherwise: a repeated threshold repeats a table row."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must hold distinct values, got {values!r}")
+    return values
+
+
 def _check_flag(value, name: str):
     """Return ``value`` if it is a bool; raise ValueError otherwise: "no" and 1 are not flags."""
     if not isinstance(value, bool):

@@ -212,21 +212,22 @@ def gof_pvalue(s: SortedCensoredSample, k: int, reps: int, seed: int, workers: i
     so it is never exactly 0.
 
     Replicates run through ``censored._replicates``, whose docstring holds
-    the block contract.  Each null row keeps only its top k+1 values, all
-    that the statistics read at k; rows are scored in stacks by
-    :func:`_fit_stats`.  A null index so small that a null replicate's
+    the block contract.  The sample and each null row are read through their
+    top k+1 values, all that the statistics read at k; rows are scored in
+    stacks by :func:`_fit_stats`.  A null index so small that a null replicate's
     top k+1 values all tie (its ``hill`` is 0) raises DegenerateNullError.
     """
     reps = _check_count(reps, 100, "reps")  # fewer leave no usable p-value
     seed = _check_count(seed, 0, "seed")
     k = _check_k(k, s.n, lo=2)
-    p = estimators.p_hat(s, k)
+    top = SortedCensoredSample(s.z[-k - 1 :], s.delta[-k - 1 :], s.top_delta_prefix[: k + 1])  # s caches no view
+    p = estimators.p_hat(top, k)
     if p == 0.0 or p == 1.0:
         raise DegenerateNullError(f"estimated proportion p = {p:g} leaves no censoring null to simulate from")
-    gamma1_hat = estimators.new_weighted(s, k)
+    gamma1_hat = estimators.new_weighted(top, k)
     if not gamma1_hat > 0:
         raise DegenerateNullError(f"estimated index {gamma1_hat:g} admits no Pareto null")
-    ks_obs, cvm_obs, _ = _fit_stats(SortedCensoredSample(s.z[None], s.delta[None], s.top_delta_prefix[None]), k)
+    ks_obs, cvm_obs, _ = _fit_stats(SortedCensoredSample(top.z[None], top.delta[None], top.top_delta_prefix[None]), k)
 
     def score(v: SortedCensoredSample) -> np.ndarray:  # (1, 3) counts: ks >= observed, cvm >= observed, p_hat = 0
         if np.any((v._hill_sums[:, k - 1] == 0.0) & (v.top_delta_prefix[:, k - 1] > 0)):

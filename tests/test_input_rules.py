@@ -300,6 +300,12 @@ class TestCliSharesLibraryRules:
         assert exc.value.code == 2
         assert "k must be an integer in [1, inf]" in capsys.readouterr().err
 
+    def test_k_grid_repeat_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_SIMULATE + ["--k-grid", "5,5"])
+        assert exc.value.code == 2
+        assert "k_grid must hold distinct values, got (5, 5)" in capsys.readouterr().err
+
     def test_select_k_estimator_is_checked(self, tiny5_csv, capsys):
         assert main(["select-k", "--input", str(tiny5_csv), "--estimator", "hill"]) == 0
         assert capsys.readouterr().out.splitlines()[1].endswith(",hill")
@@ -653,6 +659,8 @@ def _model_rule(name, value):
 _NON_NUMBERS = [
     ("McConfig-model_x", lambda s: small_config(model_x="pareto:1"), _model_rule("model_x", "pareto:1")),
     ("McConfig-model_y", lambda s: small_config(model_y=Pareto), _model_rule("model_y", Pareto)),
+    ("McConfig-k_grid_repeat", lambda s: small_config(k_grid=(5, 10, np.int64(5))),
+     r"^k_grid must hold distinct values, got \(5, 10, 5\)$"),
     ("run_variance_check-model_x", lambda s: run_variance_check("pareto:1", Pareto(1.0), 50, 5, 3, 0),
      _model_rule("model_x", "pareto:1")),
     ("run_variance_check-model_y", lambda s: run_variance_check(Pareto(1.0), None, 50, 5, 3, 0),

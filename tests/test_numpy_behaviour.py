@@ -4,12 +4,15 @@ The digests in ``bench/digests.json`` were measured with numpy 2.4.6, and bit
 identity holds per numpy version.  numpy does not promise any of these
 details, so each assertion names the kernel that depends on it: a numpy
 upgrade that changes one fails here, at its cause, before any digest does.
+The SeedSequence hashing and Philox state layout that ``rng._keys`` and
+``rng._keyed`` copy are checked against numpy's own in ``tests/test_keyed_draw.py``.
 """
 
 import numpy as np
 import pytest
 
-from tailcens import stream
+from tailcens import Pareto, generate_censored, sort_censored, stream, tailprocess
+from tailcens.censored import SortedCensoredSample
 
 # the exponents the draws take: Pareto and Frechet -gamma (test, bench and fitted-null indices), Burr -1/lam
 # (the bench designs' lam) and 1/tau (0.5 is numpy's sqrt path, -1 its reciprocal, 2 its square)
@@ -88,3 +91,45 @@ def test_contiguous_add_reduce_is_the_pairwise_sum_of_each_row(m):
             assert got[row] == want and np.sum(terms[row].copy()) == want, (
                 "estimators._new_loop sums each block row's terms with np.add.reduce along its contiguous last "
                 "axis: it must be numpy's pairwise sum, the bits np.sum of new_terms gives a lone sample")
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 0.25, 0.3, 0.5])
+def test_in_place_power_of_thresholds_is_the_scalar_power(theta):
+    ks = np.arange(1, 200_001)
+    w = ks.astype(float)
+    w **= theta
+    assert np.array_equal(w.view(np.int64), (ks.astype(float) ** theta).view(np.int64)), (
+        "selection._scan raises its weights with w **= theta: it must give the bits of path_ks.astype(float) ** theta")
+    if theta == 0.5:
+        assert np.array_equal(w.view(np.int64), np.sqrt(ks).view(np.int64)), (
+            "selection._scan's w **= 0.5 must take numpy's scalar-power path, np.sqrt's bits")
+
+
+@pytest.mark.parametrize("rows", [9, 129, 205, 1_000])
+@pytest.mark.parametrize("width", [1, 3])
+def test_add_reduce_over_rows_adds_row_after_row_only_for_rows_of_two_values_or_more(rows, width):
+    gen = np.random.default_rng(rows * 7 + width)
+    terms = gen.random((rows, 2, width)) * 10.0 ** gen.uniform(-6, 6, (rows, 2, width))
+    running = terms[0].copy()
+    for row in terms[1:]:
+        running += row
+    assert np.array_equal(np.add.reduce(terms, axis=0).view(np.int64), running.view(np.int64)), (
+        "harness.run_bias_rmse's fold adds a block's (rows, 2, k grid) buffer with np.add.reduce(axis=0): it must add "
+        "row after row, as np.nansum over the replicate axis does")
+    column = np.ascontiguousarray(terms[:, 0, :1])
+    assert np.add.reduce(column, axis=0)[0] == pairwise(column[:, 0].tolist()), (
+        "harness.run_bias_rmse's fold keeps its (err, err**2) axis because np.add.reduce sums a column of one value "
+        "per row pairwise, not row after row: a one-k grid would then sum otherwise than inside a wider grid")
+
+
+def test_steps_returns_contiguous_breakpoints_and_levels():
+    z, delta = generate_censored(Pareto(1.0), Pareto(2.0), 400, stream(3))
+    s = sort_censored(np.round(z, 1), delta)  # ties among the atoms
+    block = SortedCensoredSample(np.stack([s.z, s.z]), np.stack([s.delta, s.delta]),
+                                 np.stack([s.top_delta_prefix, s.top_delta_prefix]))
+    for v in (s, block):
+        for k in (2, 40, 399):
+            breakpoints, levels = tailprocess._steps(*tailprocess._atoms(v, k))
+            assert breakpoints.flags.c_contiguous and levels.flags.c_contiguous, (
+                "tailprocess._ks_from_curve and _cvm_from_curve raise breakpoints to powers, which numpy computes "
+                "with other bits on a reversed (negative-stride) view: _steps must return contiguous copies")

@@ -68,8 +68,44 @@ def test_forked_ranges_run_in_index_order_and_join_in_index_order(forks, monkeyp
 
     out = replicate_map(fn, count, workers)
     assert len(forks) == len(ranges) - 1 and all(map(reaped, forks))
-    for part, pid in zip(ranges, [os.getpid(), *forks]):
-        assert [out[r] for r in part] == [(pid, part[: i + 1]) for i in range(len(part))]
+    inherited = [[]] + [[0]] * len(forks)  # item 0 runs here before the fork: each child's calls start with it
+    for part, pid, ran in zip(ranges, [os.getpid(), *forks], inherited):
+        assert [out[r] for r in part] == [(pid, ran + part[: i + 1]) for i in range(len(part))]
+
+
+@needs_fork
+@pytest.mark.parametrize("workers,count,here", [(2, 5, [0, "fork", 1]), (3, 7, [0, "fork", "fork", 1]),
+                                                (3, 3, [0, "fork", "fork"])])
+def test_item_0_runs_here_once_before_the_first_fork(forks, monkeypatch, workers, count, here):
+    cpus(monkeypatch, 3)
+    caller, spy, log = os.getpid(), os.fork, []  # the caller's log: a child appends to its own copy
+
+    def logged_fork():
+        log.append("fork")
+        return spy()
+
+    def fn(r):
+        if os.getpid() == caller:
+            log.append(r)
+        return r
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    assert replicate_map(fn, count, workers) == list(range(count))
+    assert log == here and len(forks) == here.count("fork") and all(map(reaped, forks))
+
+
+@needs_fork
+def test_item_0_raising_forks_nothing(forks, monkeypatch):
+    cpus(monkeypatch, 2)
+
+    def fn(r):
+        if r == 0:
+            raise KeyError("item 0")
+        return r
+
+    with pytest.raises(KeyError, match="item 0"):
+        replicate_map(fn, 4, 2)
+    assert forks == []
 
 
 @pytest.mark.parametrize("why", ["one_worker", "one_cpu", "one_index", "second_thread"])
