@@ -216,8 +216,8 @@ def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: 
 
 
 def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: int, seed: int, score,
-                workers: int, complete_data: bool = False, top: int | None = None) -> np.ndarray:
-    """``score`` of replicates 0..reps-1 of size ``n``, joined in replicate order: the one replicate loop.
+                workers: int, complete_data: bool = False, top: int | None = None, total: bool = False) -> np.ndarray:
+    """``score`` of replicates 0..reps-1 of size ``n``, joined in replicate order, or with ``total`` their sum.
 
     Replicates run in blocks of max(1, _BLOCK_VALUES // n) consecutive
     indices, mapped by ``replicate_map`` over up to ``workers`` processes,
@@ -246,13 +246,18 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
     # made per call before the fork, so no two threads share one; a cut block's censoring times are idle once it is
     # cut, so they take a buffer per block, whose memory the scorer then reuses
     buffers = [np.empty((min(reps, size), n)) for _ in range(2 if top is None else 1)]
+    sums = {}  # with total, each range's running sum by its first block: a forked range starts its own
 
-    def block_score(b: int) -> np.ndarray:
+    def block_score(b: int) -> np.ndarray | int:
         cut = next(c for c in cuts if b in c)
         first = b - (b - cut.start) % per_pass
         rows = range(reps)[first * size : min(first + per_pass, cut.stop) * size]  # the replicates of a key pass
         at = slice((b - first) * size, (b - first + 1) * size)  # block b's rows within them
         keys = [k[at] for k in pass_keys(rows)]
-        return score(_draw_block(model_x, model_y, n, seed, rows[at], complete_data, top, keys, buffers))
+        value = score(_draw_block(model_x, model_y, n, seed, rows[at], complete_data, top, keys, buffers))
+        if total:  # into the range's running sum, returned with its last block
+            sums[cut.start] = sums.get(cut.start, 0) + value
+            value = sums.pop(cut.start) if b == cut.stop - 1 else 0
+        return value
 
-    return np.concatenate(parallel.replicate_map(block_score, len(starts), workers))
+    return (sum if total else np.concatenate)(parallel.replicate_map(block_score, len(starts), workers))

@@ -100,15 +100,16 @@ def _cmd_estimate(args) -> None:
     import numpy as np
 
     s = _sample(args.input)
+    all_p = estimators._p_hat_path(s, all_ks := np.arange(1, s.n)) if args.all_k else None  # columns --all-k views
     tables = []  # every column of every estimator, before the output opens: a failed call writes no file
     for est in args.estimator:
         if args.all_k or args.k in (None, "auto"):  # a None default lets argparse see --k auto clash with --all-k
-            ks = (np.arange(estimators.min_valid_k(est), s.n) if args.all_k
+            ks = (all_ks[estimators.min_valid_k(est) - 1 :] if args.all_k
                   else np.array([selection.reiss_thomas_k(s, est, theta=args.theta).k_star]))
             values = estimators.sweep(s, est, ks)
         else:  # evaluate reads sweep's kernel, so its bits, and raises where k is out of range or undefined
             ks, values = np.array([args.k]), np.array([estimators.evaluate(s, args.k, est)])
-        tables.append((est, ks, values, estimators._p_hat_path(s, ks)))  # p_hat at every k at once
+        tables.append((est, ks, values, all_p[s.n - 1 - ks.size :] if args.all_k else estimators._p_hat_path(s, ks)))
 
     def row(est, k, value, p):
         ci = estimators.attached_ci(est, value, p, k, args.ci)

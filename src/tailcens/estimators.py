@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -262,7 +263,8 @@ _SPLIT_VALUES = 2**24  # terms, sum(k - 1) times rows, from which _new_path spli
 def _new_path(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     # O(k) terms per k: a long path is cut at equal sum(k - 1) times rows (parallel._cuts), each part run by
     # _new_loop in a forked process.  A part's first k takes a fresh log row: the bits of the serial loop's reuse
-    cuts = parallel._cuts(ks.size, ks.size, lambda: np.cumsum(ks - 1) * math.prod(s.z.shape[:-1]), _SPLIT_VALUES)
+    cuts = [range(1)] if ks.size == 1 else parallel._cuts(  # a single read has nothing to cut
+        ks.size, ks.size, lambda: np.cumsum(ks - 1) * math.prod(s.z.shape[:-1]), _SPLIT_VALUES)
     if len(cuts) == 1:
         return _new_loop(s, ks)
     parts = [ks[cut.start : cut.stop] for cut in cuts]
@@ -273,40 +275,44 @@ def _new_loop(s: SortedCensoredSample, ks: np.ndarray) -> np.ndarray:
     # not separable in k: each threshold's terms are multiplied and summed in the buffers _new_factors fills
     out = np.empty(s.z.shape[:-1] + ks.shape)
     for j, weights, logs in _new_factors(s, ks):
-        out[..., j] = np.add.reduce(np.multiply(weights, logs, out=weights), axis=-1)
+        out[..., j] = np.add.reduce(np.multiply(weights, logs, weights), -1)
     return out
 
 
 def _new_factors(s: SortedCensoredSample, ks: np.ndarray):
     """Yield ``(j, weights, logs)`` per threshold ``ks[j]``: x/(S(i) + x), x = i/k, and log(Z(n-i)/Z(n-k)), i < k.
 
-    These are new's two factors over all rows of a block: views into buffers
-    made once per call, which the caller may overwrite and the next step
+    These are new's two factors over all rows of a block, one step of five
+    ufunc calls a threshold into views of buffers made once per call (sized
+    to a single read's k), which the caller may overwrite and the next step
     refills.  The log of the ratio matches the tail curve's breakpoints bit
-    for bit, and ``weights`` is contiguous, the layout np.sum of a fresh
-    product sees.
-    The log row depends on k only through the threshold t, so it is taken
+    for bit, and ``weights`` is contiguous, the layout np.sum sees.
+    The log row depends on k only through the threshold t, so a path takes it
     anew only where t moved in some row; while t repeats, Z(n-i) = t between
     the two ks (rows are sorted), and those entries are log(t/t) = +0.0.
     """
-    zr, top, lead, m = s._z_desc, s._top_float, s.z.shape[:-1], int(ks.max()) - 1
-    ranks, x, logs, flat = np.arange(1.0, m + 1), np.empty(m), np.empty(lead + (m,)), np.empty(top[..., :m].size + 7)
-    # weights start on a 64-byte line: 16 to 48 bytes into one, as np.empty may place them, the path ran ~10 % slower
-    flat = flat[-flat.ctypes.data % 64 // 8 :][: flat.size - 7]
-    filled = 0  # logs[..., :filled] hold the row of the current threshold value
-    for lo in range(0, ks.size, CHUNK):  # Python scalars for CHUNK thresholds at a time
-        t = zr[..., ks[max(lo - 1, 0) : lo + CHUNK]]  # this chunk's thresholds and the one before; ks[0] is fresh
-        fresh = [True] * (lo == 0) + np.any(t[..., 1:] != t[..., :-1], axis=tuple(range(len(lead)))).tolist()
-        for j, k, new_t in zip(range(lo, ks.size), ks[lo : lo + CHUNK].tolist(), fresh):
-            row = logs[..., : k - 1]
-            if new_t:
-                np.log(np.divide(zr[..., 1:k], zr[..., k, None], out=row), out=row)
-            else:
-                row[..., filled:] = 0.0  # an empty slice where k - 1 <= filled
-            filled = k - 1
-            xk = np.divide(ranks[: k - 1], k, out=x[: k - 1])
-            weights = flat[: flat.size // m * (k - 1)].reshape(lead + (k - 1,))
-            yield j, np.divide(xk, np.add(top[..., : k - 1], xk, out=weights), out=weights), row
+    zr, top, lead, m = s._z_desc, s._top_float, s.z.shape[:-1], int(ks[0] if ks.size == 1 else ks.max()) - 1
+    rows, filled, ranks, logs = math.prod(lead), 0, np.arange(1.0, m + 1), np.empty(lead + (m,))
+    if ks.size == 1:  # one fresh k: no tie scan, its ranks divided in place
+        thresholds, fresh, x, flat = ks.tolist(), (True,), ranks, np.empty(rows * m)
+    else:  # Python scalars for CHUNK thresholds at a time; ks[0] is fresh, then each k where t moved in some row
+        thresholds = chain.from_iterable(ks[lo : lo + CHUNK].tolist() for lo in range(0, ks.size, CHUNK))
+        moved = (zr[..., ks[lo : lo + CHUNK + 1]] for lo in range(0, ks.size, CHUNK))  # a chunk's ks and the next
+        fresh = chain([True], chain.from_iterable(
+            np.any(t[..., 1:] != t[..., :-1], axis=tuple(range(len(lead)))).tolist() for t in moved))
+        x, flat = np.empty(m), np.empty(rows * m + 7)
+        # weights on a 64-byte line: 16 to 48 bytes into one, where np.empty may put them, the path ran ~10 % slower
+        flat = flat[-flat.ctypes.data % 64 // 8 :][: rows * m]
+    for j, k, new_t in zip(count(), thresholds, fresh):
+        row, tops = logs[..., : k - 1], top[..., : k - 1]
+        weights = flat[: rows * (k - 1)].reshape(lead + (k - 1,)) if lead else flat[: k - 1]
+        if new_t:
+            np.log(np.divide(zr[..., 1:k], zr[..., k, None] if lead else zr[k], row), row)
+        elif k - 1 > filled:  # logs[..., :filled] hold the row of the current threshold value
+            row[..., filled:] = 0.0
+        filled = k - 1
+        xk = np.divide(ranks[: k - 1], k, x[: k - 1])
+        yield j, np.divide(xk, np.add(tops, xk, weights), weights), row
 
 
 # estimator id -> (path kernel, smallest valid k, why the kernel can give NaN)

@@ -90,19 +90,19 @@ def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
     gamma1, ks = cfg.model_x.true_evi, np.array(cfg.k_grid)
     sums = np.zeros((2, len(cfg.estimators), ks.size))  # the nansums of err and err**2 so far
 
-    def fold(v) -> np.ndarray:  # adds the block to sums and returns its (1, estimators, k grid) defined counts
+    def fold(v) -> np.ndarray:  # adds the block to sums and returns its (estimators, k grid) defined counts
         rows = np.empty((len(v.z) + 1, 2, ks.size))  # an estimator's sums, then err and err**2 of each replicate
-        counts = np.empty((1, len(cfg.estimators), ks.size), dtype=np.intp)
+        counts = np.empty((len(cfg.estimators), ks.size), dtype=np.intp)
         for e, est in enumerate(cfg.estimators):  # one estimator at a time: no block-sized stack of them all
             rows[0], err = sums[:, e], np.subtract(_sweep(v, est, ks), gamma1, out=rows[1:, 0])
             np.multiply(err, err, out=rows[1:, 1])
-            counts[0, e] = np.count_nonzero(~np.isnan(err), axis=0)  # before the NaNs go
+            counts[e] = np.count_nonzero(~np.isnan(err), axis=0)  # before the NaNs go
             np.copyto(rows, 0.0, where=np.isnan(rows))  # nansum's own steps, in place: no block-sized copy
             with np.errstate(invalid="ignore"):  # the running sum first: replicate after replicate, as one nansum adds
                 np.add.reduce(rows, axis=0, out=sums[:, e])  # rows of 2+ values: numpy sums 1-value rows pairwise
         return counts
 
-    counts = _replicates(cfg.model_x, cfg.model_y, cfg.n, cfg.reps, cfg.seed, fold, 1, cfg.complete_data).sum(0)
+    counts = _replicates(cfg.model_x, cfg.model_y, cfg.n, cfg.reps, cfg.seed, fold, 1, cfg.complete_data, total=True)
     bias, mse = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return McResult(config=cfg, bias=bias, rmse=np.sqrt(mse), undefined_count=cfg.reps - counts)
 

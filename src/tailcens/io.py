@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import operator
 from numbers import Integral
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -98,10 +99,9 @@ def read_censored_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def write_censored_csv(path_or_file, z, delta) -> None:
     """Write (z, delta) as a ``z,delta`` file; round-trips exactly."""
 
-    def _write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CENSORED_HEADER)
-        writer.writerows([repr(float(zi)), int(di)] for zi, di in zip(z, delta))
+    def _write(fh):  # the bytes csv.writer wrote: no repr of a float or int needs quoting
+        fh.write(",".join(CENSORED_HEADER) + "\n")
+        fh.writelines(map("{!r},{}\n".format, map(float, z), map(int, delta)))  # float(): numpy 2's repr names its type
 
     if hasattr(path_or_file, "write"):
         _write(path_or_file)
@@ -112,21 +112,31 @@ def write_censored_csv(path_or_file, z, delta) -> None:
 
 def read_raw_records(path) -> list[tuple[dt.date, dt.date, str]]:
     """Read a ``start,end,status`` file of ISO dates and D/A status flags."""
-    records: list[tuple[dt.date, dt.date, str]] = []
-    for lineno, row in _data_rows(path, RAW_HEADER):
-        dates = []
-        for field, cell in zip(("start", "end"), row[:2]):
-            try:
-                dates.append(dt.date.fromisoformat(cell.strip()))
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}, field {field}: not an ISO date: {cell!r}") from None
-        status = row[2].strip()
-        if status not in ("D", "A"):
-            raise CsvFormatError(f"{path}: line {lineno}, field status: must be D or A, got {row[2]!r}")
-        if dates[1] < dates[0]:
-            raise CsvFormatError(f"{path}: line {lineno}: end date precedes start date")
-        records.append((dates[0], dates[1], status))
-    return records
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    fast = len(rows) > 1 and rows[0] == RAW_HEADER and set(map(len, rows)) == {3}  # else the row rule reads again
+    linenos, rows = (range(2, len(rows) + 1), rows[1:]) if fast else zip(*_data_rows(path, RAW_HEADER))
+    try:
+        return list(zip(*_raw_columns(rows)))
+    except CsvFormatError:  # each row alone: the first that fails names its line, and its first bad field
+        for lineno, row in zip(linenos, rows):
+            _raw_columns([row], f"{path}: line {lineno}")
+        raise
+
+
+def _raw_columns(rows, where: str = "") -> tuple[list[dt.date], list[dt.date], list[str]]:
+    """Each column of raw rows parsed at once; a CsvFormatError after ``where`` names a lone row's bad field."""
+    cells, dates = list(zip(*rows)), []
+    for field, column in zip(("start", "end"), cells):
+        try:
+            dates.append(list(map(dt.date.fromisoformat, map(str.strip, column))))
+        except ValueError:
+            raise CsvFormatError(f"{where}, field {field}: not an ISO date: {column[0]!r}") from None
+    if not {"D", "A"}.issuperset(statuses := list(map(str.strip, cells[2]))):
+        raise CsvFormatError(f"{where}, field status: must be D or A, got {cells[2][0]!r}") from None
+    if any(map(operator.lt, dates[1], dates[0])):
+        raise CsvFormatError(f"{where}: end date precedes start date") from None
+    return dates[0], dates[1], statuses
 
 
 def derive_survival(records: Iterable[Sequence]) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from numbers import Integral, Real
 
 def _number(value, integer: bool = False):
     """``value`` as an int (``integer``) or float if it is such a number, not a bool, in the float range; else NaN."""
-    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral if integer else Real)):
         return math.nan
     try:
         number = float(value)

@@ -79,3 +79,23 @@ def test_a_lone_cell_keeps_its_bits_inside_a_wider_grid(model_y, complete_data, 
     assert bits(lone, 0, 0) == bits(wide, 1, 1)
     undefined = lone.undefined_count[0, 0]
     assert (0 < undefined < 500) if estimator == "efg" else undefined == 0
+
+
+# Counts are added into one running sum a process, so ten times the replicates add no per-block results.  Both
+# designs start where the key pass is full size (censored._KEY_ROWS rows, 4 096): below it, key memory still
+# grows with reps by design.  The bound leaves room for numpy's and the interpreter's own allocations, which grow
+# by 12 to 20 KB over these ranges for a scorer that returns a constant; per-block results grew 49 and 87 KB.
+GROWTH_BOUND = 32 * 2**10
+
+
+def test_gof_peak_grows_by_no_per_block_counts_from_1e4_to_1e5_reps():
+    s = sort_censored(*generate_censored(Pareto(1.0), Pareto(2.0), 20, stream(5)))
+    gof_pvalue(s, 5, 100, seed=1)
+    small, large = gof_peak_bytes(s, 5, 10**4), gof_peak_bytes(s, 5, 10**5)
+    assert large - small < GROWTH_BOUND, f"the peak grew {(large - small) / 2**10:.1f} KiB"
+
+
+def test_bias_rmse_peak_grows_by_no_per_block_counts_from_4096_to_40960_reps():
+    mc_peak_bytes(10)
+    small, large = mc_peak_bytes(4_096), mc_peak_bytes(40_960)
+    assert large - small < GROWTH_BOUND, f"the peak grew {(large - small) / 2**10:.1f} KiB"
