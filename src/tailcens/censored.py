@@ -260,4 +260,5 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
             value = sums.pop(cut.start) if b == cut.stop - 1 else 0
         return value
 
-    return (sum if total else np.concatenate)(parallel.replicate_map(block_score, len(starts), workers))
+    # cut again over at most len(cuts) processes: the same ranges, or one here where a thread started between the cuts
+    return (sum if total else np.concatenate)(parallel.replicate_map(block_score, len(starts), len(cuts)))

@@ -29,24 +29,16 @@ ROW_CHUNK = 4096  # table rows held as Python scalars at a time: a table of ever
 WORKERS_HELP = "integer >= 1: gof forks its replicates over up to this many CPUs (same output); simulate runs in order"
 
 
-def _parsed(parse, text: str):
-    """``parse(text)``, or the text itself when it does not parse, for the rule to reject."""
-    try:
-        return parse(text)
-    except ValueError:
-        return text
-
-
-def _rule(check, parse=str):
-    """argparse type applying the library rule ``check`` to the parsed text; its ValueError exits 2.
+def _rule(check):
+    """argparse type applying the library rule ``check`` to the flag's text; its ValueError exits 2.
 
     Callers pass ``check`` as a lambda that looks the rule up when the flag is parsed, so building the
-    parser runs no library module.
+    parser runs no library module.  A number flag's lambda reads its text with ``rules._from_text``.
     """
 
     def convert(text: str):
         try:
-            return check(_parsed(parse, text))
+            return check(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -55,19 +47,13 @@ def _rule(check, parse=str):
 
 def _count(lo: int, name: str):
     """argparse type for an integer flag >= lo, checked by the library's count rule."""
-    return _rule(lambda v: rules._check_count(v, lo, name), int)
+    return _rule(lambda v: rules._check_count(rules._from_text(v, True), lo, name))
 
 
 def _k_grid(text: str) -> tuple[int, ...]:
     # no sample yet: only the lower end of the threshold range applies
-    return rules._check_distinct(tuple(rules._check_count(_parsed(int, k), 1, "k") for k in text.split(",")), "k_grid")
-
-
-def _estimator_ids(text: str) -> tuple[str, ...]:
-    ids = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not ids:
-        raise ValueError("empty estimator list")
-    return tuple(map(estimators._checked_id, ids))
+    ks = tuple(rules._check_count(rules._from_text(k, True), 1, "k") for k in text.split(","))
+    return rules._check_distinct(ks, "k_grid")
 
 
 @contextmanager
@@ -176,16 +162,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extreme value index estimation for randomly right-censored heavy-tailed data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    theta = _rule(lambda v: rules._check_theta(v), float)
-    workers = _rule(lambda v: rules._check_workers(v), int)
-    estimator_ids, model = _rule(_estimator_ids), _rule(lambda v: distributions.parse_model(v))
+    theta = _rule(lambda v: rules._check_theta(rules._from_text(v)))
+    workers = _rule(lambda v: rules._check_workers(rules._from_text(v, True)))
+    estimator_ids = _rule(lambda v: tuple(estimators._checked_id(part.strip()) for part in v.split(",")))
+    model = _rule(lambda v: distributions.parse_model(v))
 
     p_est = sub.add_parser("estimate", help="estimate the tail index from a z,delta CSV")
     p_est.add_argument("--input", required=True, help="censored sample CSV (header z,delta)")
     k_choice = p_est.add_mutually_exclusive_group()
     k_choice.add_argument(
-        "--k", type=_rule(lambda v: v if v == "auto" else rules._check_count(v, 1, "k"), int), default=None,
-        help="threshold count, or 'auto' (default)",
+        "--k", type=_rule(lambda v: v if v == "auto" else rules._check_count(rules._from_text(v, True), 1, "k")),
+        default=None, help="threshold count, or 'auto' (default)",
     )
     k_choice.add_argument("--all-k", action="store_true", help="emit one row per valid k instead of a single k")
     p_est.add_argument(
@@ -193,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated ids among hill|efg|ww1|ww2|new (default new)",
     )
     p_est.add_argument(
-        "--ci", type=_rule(lambda v: rules._check_level(v), float), default=None,
+        "--ci", type=_rule(lambda v: rules._check_level(rules._from_text(v))), default=None,
         help="confidence level for the new estimator",
     )
     p_est.add_argument("--theta", type=theta, default=0.3, help="stability exponent for --k auto (default 0.3)")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rules import _check_count, _check_instance, _float_array, _require_positive
+from .rules import _check_count, _check_instance, _float_array, _from_text, _require_positive
 
 __all__ = ["Burr", "Frechet", "LogGamma", "Pareto", "HeavyTailModel", "CensoringProfile", "censoring_profile",
            "parse_model", "format_model", "ModelSpecError"]
@@ -214,18 +214,16 @@ def parse_model(spec: str) -> HeavyTailModel:
         known = "|".join(sorted(_GRAMMAR))
         raise ModelSpecError(f"unknown model {name!r} in {spec!r} (expected one of {known})")
     cls, field_names = _GRAMMAR[name]
-    parts = [p.strip() for p in argstr.split(",")] if sep and argstr.strip() else []
+    parts = argstr.split(",") if sep and argstr.strip() else []  # unstripped: _from_text judges spaces
     if len(parts) != len(field_names):
         raise ModelSpecError(
             f"model {name!r} takes {len(field_names)} parameters "
             f"({','.join(field_names)}), got {len(parts)} in {spec!r}"
         )
-    values = []
-    for field_name, part in zip(field_names, parts):
-        try:
-            values.append(float(part))
-        except ValueError:
-            raise ModelSpecError(f"model {name!r} field {field_name!r}: {part!r} is not a number") from None
+    values = list(map(_from_text, parts))
+    for field_name, value in zip(field_names, values):
+        if isinstance(value, str):
+            raise ModelSpecError(f"model {name!r} field {field_name!r}: {value!r} is not a number")
     try:
         return cls(*values)
     except ValueError as exc:

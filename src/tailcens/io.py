@@ -79,12 +79,12 @@ def read_censored_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a ``z,delta`` file into C-contiguous float64 z and int64 delta arrays."""
     import numpy as np  # imported on use: convert runs without numpy
 
+    from .rules import _from_text  # on use too: convert runs io alone
+
     def observations():
         for lineno, row in _data_rows(path, CENSORED_HEADER):
-            try:
-                value = float(row[0])
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}, field z: not a number: {row[0]!r}") from None
+            if isinstance(value := _from_text(row[0]), str):
+                raise CsvFormatError(f"{path}: line {lineno}, field z: not a number: {row[0]!r}")
             if not math.isfinite(value) or value <= 0:
                 raise CsvFormatError(f"{path}: line {lineno}, field z: must be finite and > 0, got {row[0]!r}")
             if row[1].strip() not in ("0", "1"):
@@ -117,11 +117,13 @@ def read_raw_records(path) -> list[tuple[dt.date, dt.date, str]]:
     fast = len(rows) > 1 and rows[0] == RAW_HEADER and set(map(len, rows)) == {3}  # else the row rule reads again
     linenos, rows = (range(2, len(rows) + 1), rows[1:]) if fast else zip(*_data_rows(path, RAW_HEADER))
     try:
-        return list(zip(*_raw_columns(rows)))
+        columns = _raw_columns(rows)
     except CsvFormatError:  # each row alone: the first that fails names its line, and its first bad field
         for lineno, row in zip(linenos, rows):
             _raw_columns([row], f"{path}: line {lineno}")
         raise
+    del rows, linenos  # the cells go before the records are built: not both held at the peak
+    return list(zip(*columns))
 
 
 def _raw_columns(rows, where: str = "") -> tuple[list[dt.date], list[dt.date], list[str]]:

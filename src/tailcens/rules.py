@@ -20,6 +20,16 @@ def _number(value, integer: bool = False):
     return int(value) if integer else number
 
 
+def _from_text(text: str, integer: bool = False):
+    """``text`` read by int (``integer``) or float if it is ASCII without ``_``; else ``text``, for a rule to reject."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text) if integer else float(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _check_k(k, n, lo: int = 1, hi=None, name: str = "k") -> int:
     """Return ``k`` as an int if it is an integer in [lo, hi] (hi defaults to n - 1); raise ValueError otherwise."""
     hi = n - 1 if hi is None else hi

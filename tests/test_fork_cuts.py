@@ -15,7 +15,16 @@ import numpy as np
 import pytest
 from test_new_path_buffers import bits, tie_heavy_sample, top_cut_block
 
-from tailcens import estimators, parallel
+from tailcens import (
+    Pareto,
+    estimators,
+    generate_censored,
+    gof_pvalue,
+    parallel,
+    run_variance_check,
+    sort_censored,
+    stream,
+)
 from tailcens.estimators import _new_loop, _sweep
 
 
@@ -116,3 +125,23 @@ def test_a_cut_inside_a_tie_run_gives_the_new_path_split(forked):
     got = _sweep(s, "new", ks)
     assert forked == [want]
     assert bits(got) == bits(_new_loop(s, ks))
+
+
+@needs_fork
+@pytest.mark.parametrize("alive_at", ["first cut", "second cut"])
+def test_a_thread_alive_at_one_cut_of_a_replicate_call_keeps_every_count(monkeypatch, alive_at):
+    # _replicates cuts its blocks, then replicate_map cuts them again; a thread alive at one cut alone (one that
+    # ends or starts between them) makes _fork_parts answer 1 there and 2 at the other
+    cpus(monkeypatch, 2)
+    s = sort_censored(*generate_censored(Pareto(1.0), Pareto(1.0), 200, stream(1)))
+    run = lambda: (gof_pvalue(s, 40, reps=400, seed=1, workers=2),  # noqa: E731
+                   run_variance_check(Pareto(1.0), Pareto(1.0), 200, 40, 400, 1, workers=2))
+    want, fork_parts, calls = run(), parallel._fork_parts, []
+
+    def flipped(limit):
+        calls.append(limit)
+        alive = len(calls) % 2 == (alive_at == "first cut")  # calls 1, 3: first cuts; 2, 4: second cuts
+        return 1 if alive else fork_parts(limit)
+
+    monkeypatch.setattr(parallel, "_fork_parts", flipped)
+    assert run() == want and len(calls) == 4

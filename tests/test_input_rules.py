@@ -21,6 +21,7 @@ from tailcens import (
     Frechet,
     LogGamma,
     McConfig,
+    ModelSpecError,
     Pareto,
     asymptotic_ci,
     censor,
@@ -42,7 +43,7 @@ from tailcens import (
     weighted_functional,
     write_censored_csv,
 )
-from tailcens.cli import main
+from tailcens.cli import build_parser, main
 from tailcens.estimators import ESTIMATOR_IDS, _check_count, _check_fit, _check_level, _checked_id, attached_ci
 from tailcens.parallel import _check_workers
 from tailcens.rules import _check_flag, _number
@@ -249,6 +250,7 @@ _CLI_RULES = [
     (["estimate", "--k", "3"], "--ci", "high", _check_level, "high"),
     (["estimate", "--k", "3"], "--estimator", "moment", _checked_id, "moment"),
     (["estimate", "--k", "3"], "--estimator", "new,Hill", _checked_id, "Hill"),
+    (["estimate", "--k", "3"], "--estimator", "new,,efg,", _checked_id, ""),
     (["select-k"], "--estimator", "moment", _checked_id, "moment"),
     (["gof", "--k", "3", "--reps", "100"], "--workers", "-5", _check_workers, -5),
     (["gof", "--k", "3", "--reps", "100"], "--workers", "1.5", _check_workers, "1.5"),
@@ -270,6 +272,7 @@ class TestCliSharesLibraryRules:
         "flag,text,check,value",
         [
             ("--estimators", "new,moment", _checked_id, "moment"),
+            ("--estimators", "new,", _checked_id, ""),
             ("--workers", "0", _check_workers, 0),
             ("--workers", "1.5", _check_workers, "1.5"),
         ],
@@ -436,6 +439,94 @@ class TestCliCounts:
             main(_SIMULATE + [flag, text])
         assert exc.value.code == 2
         assert _message(_count_rule(lo, name), value) in capsys.readouterr().err
+
+
+_NUMBER_FLAGS = [
+    # (command and its other flags, flag, form of its value, a valid text, integer flag, library rule)
+    (["estimate", "--input", "in.csv"], "--k", "{}", "3", True, _count_rule(1, "k")),
+    (["estimate", "--input", "in.csv"], "--theta", "{}", "0.3", False, _check_theta),
+    (["estimate", "--input", "in.csv"], "--ci", "{}", "0.9", False, _check_level),
+    (["select-k", "--input", "in.csv"], "--theta", "{}", "0.3", False, _check_theta),
+    (["select-k", "--input", "in.csv"], "--k-min", "{}", "5", True, _count_rule(2, "k_min")),
+    (["select-k", "--input", "in.csv"], "--k-max", "{}", "5", True, _count_rule(3, "k_max")),
+    (["gof", "--input", "in.csv", "--k", "3"], "--k", "{}", "5", True, _count_rule(2, "k")),
+    (["gof", "--input", "in.csv", "--k", "3"], "--reps", "{}", "200", True, _count_rule(100, "reps")),
+    (["gof", "--input", "in.csv", "--k", "3"], "--seed", "{}", "5", True, _count_rule(0, "seed")),
+    (["gof", "--input", "in.csv", "--k", "3"], "--workers", "{}", "2", True, _check_workers),
+    (_SIMULATE, "--n", "{}", "60", True, _count_rule(3, "n")),
+    (_SIMULATE, "--reps", "{}", "5", True, _count_rule(1, "reps")),
+    (_SIMULATE, "--seed", "{}", "5", True, _count_rule(0, "seed")),
+    (_SIMULATE, "--workers", "{}", "2", True, _check_workers),
+    (_SIMULATE, "--k-grid", "3,{}", "5", True, _count_rule(1, "k")),  # an item after a valid one
+]
+_FLAG_IDS = [f"{head[0]}{flag}" for head, flag, *_ in _NUMBER_FLAGS]
+_NOT_NUMBERS = ["1_0", "\uff12", "\u0663", "\u00a05"]  # underscore, full-width 2, Arabic-Indic 3, no-break space
+
+
+def _parsed_flag(head, flag, form, text):
+    return getattr(build_parser().parse_args(head + [flag, form.format(text)]), flag[2:].replace("-", "_"))
+
+
+class TestTextNumbers:
+    """Which text is a number is one rule (``rules._from_text``): ASCII that the builtin int or float reads, no ``_``.
+
+    A text it rejects reaches the site's own rule or message as the text itself.
+    """
+
+    @pytest.mark.parametrize("text", _NOT_NUMBERS)
+    @pytest.mark.parametrize("head,flag,form,valid,integer,check", _NUMBER_FLAGS, ids=_FLAG_IDS)
+    def test_flag_rejects(self, capsys, head, flag, form, valid, integer, check, text):
+        with pytest.raises(SystemExit) as exc:
+            main(head + [flag, form.format(text)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {_message(check, text)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("head,flag,form,valid,integer,check", _NUMBER_FLAGS, ids=_FLAG_IDS)
+    def test_flag_reads_ascii_as_the_builtin_does(self, capsys, head, flag, form, valid, integer, check):
+        want = _parsed_flag(head, flag, form, valid)
+        assert _parsed_flag(head, flag, form, f" {valid} ") == _parsed_flag(head, flag, form, f"+{valid}") == want
+        for text in ["inf", "nan"] + (["1e1", "5.0"] if integer else []):
+            with pytest.raises(SystemExit):
+                _parsed_flag(head, flag, form, text)
+            seen = text if integer else float(text)  # int() reads none of them, float() all
+            assert f"argument {flag}: {_message(check, seen)}" in capsys.readouterr().err
+        if not integer:
+            assert _parsed_flag(head, flag, form, "3e-1") == 0.3
+
+    @staticmethod
+    def _csv(tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(f"z,delta\n1,1\n{text},1\n2,0\n3,1\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("text", _NOT_NUMBERS)
+    def test_z_cell_rejects(self, tmp_path, capsys, text):
+        assert main(["estimate", "--input", str(self._csv(tmp_path, text)), "--k", "2"]) == 1
+        assert f"line 3, field z: not a number: {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,z", [(" 5 ", 5.0), ("+5", 5.0), ("3e-1", 0.3), ("1e1", 10.0), ("5.0", 5.0)])
+    def test_z_cell_reads_ascii_as_float_does(self, tmp_path, text, z):
+        assert read_censored_csv(self._csv(tmp_path, text))[0].tolist() == [1.0, z, 2.0, 3.0]
+
+    @pytest.mark.parametrize("text", ["inf", "nan"])
+    def test_z_cell_range(self, tmp_path, text):
+        with pytest.raises(CsvFormatError, match=f"line 3, field z: must be finite and > 0, got '{text}'$"):
+            read_censored_csv(self._csv(tmp_path, text))
+
+    @pytest.mark.parametrize("text", _NOT_NUMBERS)
+    def test_model_field_rejects(self, text):
+        with pytest.raises(ModelSpecError) as exc:
+            parse_model(f"burr:1,{text},2")
+        assert str(exc.value) == f"model 'burr' field 'tau': {text!r} is not a number"
+
+    @pytest.mark.parametrize("text,gamma", [(" 5 ", 5.0), ("+5", 5.0), ("3e-1", 0.3), ("1e1", 10.0)])
+    def test_model_field_reads_ascii_as_float_does(self, text, gamma):
+        assert parse_model(f"pareto:{text}") == Pareto(gamma)
+
+    @pytest.mark.parametrize("text", ["inf", "nan"])
+    def test_model_field_range(self, text):
+        with pytest.raises(ModelSpecError, match=f"parameter gamma must be a finite positive number, got {text}$"):
+            parse_model(f"pareto:{text}")
 
 
 class TestFittedTailRule:
