@@ -9,7 +9,7 @@ sorted ascending with each indicator travelling alongside its observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -220,45 +220,38 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
     """``score`` of replicates 0..reps-1 of size ``n``, joined in replicate order, or with ``total`` their sum.
 
     Replicates run in blocks of max(1, _BLOCK_VALUES // n) consecutive
-    indices, mapped by ``replicate_map`` over up to ``workers`` processes,
-    each running a contiguous range of blocks in order.  Row j of a block is
-    replicate r_j as a lone replicate draws it, its lifetimes from stream
-    (seed, r_j, 0) and its censoring times from (seed, r_j, 1), or all from
-    (seed, r_j) for complete data; a process derives the keys of its own
-    blocks in bulk, up to _KEY_ROWS rows a pass, so their memory does not
-    grow with ``reps``.  Rows are sorted whole or cut to their ``top``
-    largest values (:func:`_draw_block`) in buffers made here, before any
-    fork, and reused by every block a process runs: the lifetimes' buffer,
-    and for whole rows the censoring times'.  ``score`` maps the
-    block, a SortedCensoredSample with a leading row axis, to an array of
-    leading entries joined across blocks, with the arithmetic of a lone
-    sample.  So no output bit depends on the block size or ``workers``.
+    indices.  ``replicate_map`` cuts the blocks once into contiguous ranges
+    over up to ``workers`` processes, and each process runs its range's
+    blocks in order.  Row j of a block is replicate r_j as a lone replicate
+    draws it, its lifetimes from stream (seed, r_j, 0) and its censoring
+    times from (seed, r_j, 1), or all from (seed, r_j) for complete data; a
+    range's keys are derived in bulk, up to _KEY_ROWS rows a pass, so their
+    memory does not grow with ``reps``.  Rows are sorted whole or cut to
+    their ``top`` largest values (:func:`_draw_block`) in buffers made here,
+    before any fork, and reused by every block a process runs: the
+    lifetimes' buffer, and for whole rows the censoring times'.  ``score``
+    maps the block, a SortedCensoredSample with a leading row axis, to an
+    array of leading entries joined across blocks, with the arithmetic of a
+    lone sample.  So no output bit depends on the block size or ``workers``.
     ``score`` must return all it computes: a forked block's side effects are
     lost.  It must not keep the block, or a view of it, past its call: the
     next block overwrites it.
     """
     starts = _blocks(n, reps)
+    _check_workers(workers)  # before any buffer is made
     size = starts.step  # rows a block
-    cuts = parallel._cuts(len(starts), _check_workers(workers))
-    per_pass = max(1, _KEY_ROWS // size)  # blocks a key pass derives, within one process's range
-    # a range runs its blocks in order, so one pass's keys are held at a time
-    pass_keys = lru_cache(maxsize=1)(lambda rows: _stream_keys(seed, rows, complete_data))
+    per_pass = max(1, _KEY_ROWS // size) * size  # rows a key pass derives
     # made per call before the fork, so no two threads share one; a cut block's censoring times are idle once it is
     # cut, so they take a buffer per block, whose memory the scorer then reuses
     buffers = [np.empty((min(reps, size), n)) for _ in range(2 if top is None else 1)]
-    sums = {}  # with total, each range's running sum by its first block: a forked range starts its own
 
-    def block_score(b: int) -> np.ndarray | int:
-        cut = next(c for c in cuts if b in c)
-        first = b - (b - cut.start) % per_pass
-        rows = range(reps)[first * size : min(first + per_pass, cut.stop) * size]  # the replicates of a key pass
-        at = slice((b - first) * size, (b - first + 1) * size)  # block b's rows within them
-        keys = [k[at] for k in pass_keys(rows)]
-        value = score(_draw_block(model_x, model_y, n, seed, rows[at], complete_data, top, keys, buffers))
-        if total:  # into the range's running sum, returned with its last block
-            sums[cut.start] = sums.get(cut.start, 0) + value
-            value = sums.pop(cut.start) if b == cut.stop - 1 else 0
-        return value
+    def scores(blocks: range):  # a range's blocks in order; no name holds a block (and its cached arrays) at a yield
+        rows = range(reps)[blocks.start * size : blocks.stop * size]
+        for lo in range(0, len(rows), per_pass):
+            keys = _stream_keys(seed, part := rows[lo : lo + per_pass], complete_data)
+            for at in range(0, len(part), size):
+                yield score(_draw_block(model_x, model_y, n, seed, part[at : at + size], complete_data, top,
+                                        [k[at : at + size] for k in keys], buffers))
 
-    # cut again over at most len(cuts) processes: the same ranges, or one here where a thread started between the cuts
-    return (sum if total else np.concatenate)(parallel.replicate_map(block_score, len(starts), len(cuts)))
+    parts = parallel.replicate_map(lambda blocks: (sum if total else list)(scores(blocks)), len(starts), workers)
+    return sum(parts) if total else np.concatenate([value for part in parts for value in part])

@@ -87,9 +87,9 @@ def read_censored_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 raise CsvFormatError(f"{path}: line {lineno}, field z: not a number: {row[0]!r}")
             if not math.isfinite(value) or value <= 0:
                 raise CsvFormatError(f"{path}: line {lineno}, field z: must be finite and > 0, got {row[0]!r}")
-            if row[1].strip() not in ("0", "1"):
+            if (delta := row[1].strip(" \t\n\r\x0b\x0c")) not in ("0", "1"):  # ASCII whitespace only
                 raise CsvFormatError(f"{path}: line {lineno}, field delta: must be 0 or 1, got {row[1]!r}")
-            yield value, int(row[1])
+            yield value, delta == "1"
 
     # straight into one record array, not two lists of Python objects; each field is copied out contiguous
     rows = np.fromiter(observations(), dtype=[("z", np.float64), ("delta", np.int64)])

@@ -1,4 +1,4 @@
-"""Ordered maps over forked processes: replicate blocks, and parts of a long kernel path, both cut by ``_cuts``.
+"""Ordered maps over forked processes: ranges of replicate blocks, and parts of a long kernel path, cut by ``_cuts``.
 
 A forked part returns only its results, so a function that adds into the caller's state runs with ``workers=1``.
 """
@@ -39,15 +39,17 @@ def _cuts(count: int, limit: int, running=None, least: int = 0) -> list[range]:
     return [range(count)]
 
 
-def replicate_map(fn, count: int, workers: int = 1) -> list:
-    """``[fn(r) for r in range(count)]`` for any ``workers``, each range of :func:`_cuts` run in index order.
+def replicate_map(run, count: int, workers: int = 1) -> list:
+    """``run`` of each contiguous range of 0..count-1 that :func:`_cuts` gives for ``workers``, results in index order.
 
-    The first range runs here and each other in a forked child (:func:`fork_map`), item 0 before the fork where there
-    are several: each child then starts warm, with one item's set-up and pages.  ``censored._replicates`` uses it.
+    The first range runs here and each other in a forked child (:func:`fork_map`).  Where there are several,
+    ``run(range(1))`` runs here before the fork, so each child starts warm with one item's set-up and pages, and the
+    rest of the first range (maybe empty) runs after it as one more part.  ``censored._replicates`` runs its blocks
+    through it.
     """
     cuts = _cuts(count, _check_workers(workers))
-    head, cuts[0] = ([fn(0)], cuts[0][1:]) if len(cuts) > 1 else ([], cuts[0])
-    return head + [value for part in fork_map(lambda cut: [fn(r) for r in cut], cuts) for value in part]
+    head = [run(range(1))] if len(cuts) > 1 else []
+    return head + fork_map(run, [cuts[0][len(head) :], *cuts[1:]])
 
 
 def fork_map(fn, parts) -> list:

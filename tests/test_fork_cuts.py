@@ -130,8 +130,8 @@ def test_a_cut_inside_a_tie_run_gives_the_new_path_split(forked):
 @needs_fork
 @pytest.mark.parametrize("alive_at", ["first cut", "second cut"])
 def test_a_thread_alive_at_one_cut_of_a_replicate_call_keeps_every_count(monkeypatch, alive_at):
-    # _replicates cuts its blocks, then replicate_map cuts them again; a thread alive at one cut alone (one that
-    # ends or starts between them) makes _fork_parts answer 1 there and 2 at the other
+    # a thread alive at one replicate call's cut alone (one that ends or starts between the two calls' cuts) makes
+    # _fork_parts answer 1 there and 2 at the other; each call cuts its blocks once
     cpus(monkeypatch, 2)
     s = sort_censored(*generate_censored(Pareto(1.0), Pareto(1.0), 200, stream(1)))
     run = lambda: (gof_pvalue(s, 40, reps=400, seed=1, workers=2),  # noqa: E731
@@ -140,8 +140,27 @@ def test_a_thread_alive_at_one_cut_of_a_replicate_call_keeps_every_count(monkeyp
 
     def flipped(limit):
         calls.append(limit)
-        alive = len(calls) % 2 == (alive_at == "first cut")  # calls 1, 3: first cuts; 2, 4: second cuts
+        alive = len(calls) % 2 == (alive_at == "first cut")  # call 1: gof_pvalue's cut; call 2: the variance check's
         return 1 if alive else fork_parts(limit)
 
     monkeypatch.setattr(parallel, "_fork_parts", flipped)
-    assert run() == want and len(calls) == 4
+    assert run() == want and len(calls) == 2
+
+
+@needs_fork
+@pytest.mark.parametrize("call", ["gof_pvalue", "run_variance_check"])
+def test_an_affinity_mask_that_shrinks_during_a_replicate_call_keeps_every_count(monkeypatch, call):
+    # three CPUs at the call's first read of the mask and two after: a second cut of the blocks would split them
+    # into other ranges than the first, and under total=True lose a range's counts (p_ks 0.549 for 0.703)
+    cpus(monkeypatch, 3)
+    s = sort_censored(*generate_censored(Pareto(1.0), Pareto(1.0), 200, stream(1)))
+    run = {"gof_pvalue": lambda: gof_pvalue(s, 40, reps=400, seed=1, workers=3),
+           "run_variance_check": lambda: run_variance_check(Pareto(1.0), Pareto(1.0), 200, 40, 400, 1, workers=3)}[call]
+    want, reads = run(), []
+
+    def shrinking(pid):
+        reads.append(pid)
+        return set(range(3 if len(reads) == 1 else 2))
+
+    monkeypatch.setattr(os, "sched_getaffinity", shrinking, raising=False)
+    assert run() == want and len(reads) == 1

@@ -513,6 +513,22 @@ class TestTextNumbers:
         with pytest.raises(CsvFormatError, match=f"line 3, field z: must be finite and > 0, got '{text}'$"):
             read_censored_csv(self._csv(tmp_path, text))
 
+    @staticmethod
+    def _delta_csv(tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(f"z,delta\n1,1\n2,{text}\n", encoding="utf-8")
+        return path
+
+    # em space, no-break space, a separator str.strip() takes, full-width 1, Arabic-Indic 0, a sign, a leading 0
+    @pytest.mark.parametrize("text", ["\u20031", "\u00a01", "\x1c1", "\uff11", "\u0660", "+1", "01"])
+    def test_delta_cell_rejects(self, tmp_path, text):
+        with pytest.raises(CsvFormatError, match=re.escape(f"line 3, field delta: must be 0 or 1, got {text!r}") + "$"):
+            read_censored_csv(self._delta_csv(tmp_path, text))
+
+    @pytest.mark.parametrize("text,delta", [(" 1 ", 1), ("\t0", 0)])
+    def test_delta_cell_strips_ascii_whitespace(self, tmp_path, text, delta):
+        assert read_censored_csv(self._delta_csv(tmp_path, text))[1].tolist() == [1, delta]
+
     @pytest.mark.parametrize("text", _NOT_NUMBERS)
     def test_model_field_rejects(self, text):
         with pytest.raises(ModelSpecError) as exc:

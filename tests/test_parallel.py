@@ -42,13 +42,13 @@ def reaped(pid):
 def test_runs_in_index_order_on_the_calling_thread():
     calls = []
 
-    def fn(r):
-        calls.append(r)
-        return r, threading.get_ident()
+    def run(cut):
+        calls.append(list(cut))
+        return list(cut), threading.get_ident()
 
-    out = replicate_map(fn, 5, workers=1)
-    assert out == [(r, threading.get_ident()) for r in range(5)]
-    assert calls == [0, 1, 2, 3, 4]
+    out = replicate_map(run, 5, workers=1)
+    assert out == [([0, 1, 2, 3, 4], threading.get_ident())]
+    assert calls == [[0, 1, 2, 3, 4]]
 
 
 def cpus(monkeypatch, count):
@@ -62,20 +62,21 @@ def test_forked_ranges_run_in_index_order_and_join_in_index_order(forks, monkeyp
     cpus(monkeypatch, 4)
     calls = []  # each process appends to its own copy
 
-    def fn(r):
-        calls.append(r)
+    def run(cut):
+        calls.append(list(cut))
         return os.getpid(), list(calls)
 
-    out = replicate_map(fn, count, workers)
+    out = replicate_map(run, count, workers)
     assert len(forks) == len(ranges) - 1 and all(map(reaped, forks))
-    inherited = [[]] + [[0]] * len(forks)  # item 0 runs here before the fork: each child's calls start with it
-    for part, pid, ran in zip(ranges, [os.getpid(), *forks], inherited):
-        assert [out[r] for r in part] == [(pid, ran + part[: i + 1]) for i in range(len(part))]
+    # range(1) runs here before the fork, so each child's calls start with it; the rest of range 0, maybe empty, after
+    here = os.getpid()
+    parts = [ranges[0][1:], *ranges[1:]]
+    assert out == [(here, [[0]])] + [(pid, [[0], part]) for pid, part in zip([here, *forks], parts)]
 
 
 @needs_fork
-@pytest.mark.parametrize("workers,count,here", [(2, 5, [0, "fork", 1]), (3, 7, [0, "fork", "fork", 1]),
-                                                (3, 3, [0, "fork", "fork"])])
+@pytest.mark.parametrize("workers,count,here", [(2, 5, [[0], "fork", [1]]), (3, 7, [[0], "fork", "fork", [1]]),
+                                                (3, 3, [[0], "fork", "fork", []])])
 def test_item_0_runs_here_once_before_the_first_fork(forks, monkeypatch, workers, count, here):
     cpus(monkeypatch, 3)
     caller, spy, log = os.getpid(), os.fork, []  # the caller's log: a child appends to its own copy
@@ -84,13 +85,13 @@ def test_item_0_runs_here_once_before_the_first_fork(forks, monkeypatch, workers
         log.append("fork")
         return spy()
 
-    def fn(r):
+    def run(cut):
         if os.getpid() == caller:
-            log.append(r)
-        return r
+            log.append(list(cut))
+        return list(cut)
 
     monkeypatch.setattr(os, "fork", logged_fork)
-    assert replicate_map(fn, count, workers) == list(range(count))
+    assert [r for part in replicate_map(run, count, workers) for r in part] == list(range(count))
     assert log == here and len(forks) == here.count("fork") and all(map(reaped, forks))
 
 
@@ -98,13 +99,13 @@ def test_item_0_runs_here_once_before_the_first_fork(forks, monkeypatch, workers
 def test_item_0_raising_forks_nothing(forks, monkeypatch):
     cpus(monkeypatch, 2)
 
-    def fn(r):
-        if r == 0:
+    def run(cut):
+        if 0 in cut:
             raise KeyError("item 0")
-        return r
+        return list(cut)
 
     with pytest.raises(KeyError, match="item 0"):
-        replicate_map(fn, 4, 2)
+        replicate_map(run, 4, 2)
     assert forks == []
 
 
@@ -121,8 +122,8 @@ def test_serial_cases_never_fork(monkeypatch, why):
     if why == "second_thread":
         thread.start()
     try:
-        out = replicate_map(lambda r: (r, threading.get_ident()), count, 1 if why == "one_worker" else 2)
-        assert out == [(r, threading.get_ident()) for r in range(count)]
+        out = replicate_map(lambda cut: (list(cut), threading.get_ident()), count, 1 if why == "one_worker" else 2)
+        assert out == [(list(range(count)), threading.get_ident())]
     finally:
         release.set()
         if why == "second_thread":
@@ -131,7 +132,8 @@ def test_serial_cases_never_fork(monkeypatch, why):
 
 
 def test_numpy_integer_workers_accepted():
-    assert replicate_map(lambda r: r * r, 4, workers=np.int64(2)) == [0, 1, 4, 9]
+    out = replicate_map(lambda cut: [r * r for r in cut], 4, workers=np.int64(2))
+    assert [value for part in out for value in part] == [0, 1, 4, 9]
 
 
 @pytest.mark.parametrize("workers", [0, -5, True, False, 2.5, "2", None])
