@@ -197,20 +197,20 @@ def _stream_keys(seed: int, rows: range, complete_data: bool) -> list[np.ndarray
     return [rng._keys(seed, rows, *tail) for tail in ([()] if complete_data else [(0,), (1,)])]
 
 
-def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, seed: int, block: range,
-                complete_data: bool = False, top: int | None = None, keys=None, buffers=()) -> SortedCensoredSample:
-    """Replicates ``block`` of size ``n`` as rows, row j drawn from stream (seed, block[j]) as a lone replicate is.
+def _draw_block(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, keys: list[np.ndarray],
+                top: int | None = None, buffers=()) -> SortedCensoredSample:
+    """Replicates of size ``n`` as rows, row j drawn from the streams of ``keys[i][j]`` as a lone replicate is.
 
-    All lifetimes observed (drawn from the stream itself), or censored; both
-    drawn and checked by :func:`_draw`; each row sorted whole, or cut to its
-    ``top`` largest values.  ``keys``, the block's :func:`_stream_keys`, are
-    derived here when not given.  The lifetimes, then the censoring times,
-    are drawn into ``buffers``, float arrays of at least ``len(block)`` rows
+    ``keys`` are the block's :func:`_stream_keys`: one list, all lifetimes
+    observed (drawn from the stream itself), or two, censored; both drawn
+    and checked by :func:`_draw`; each row sorted whole, or cut to its
+    ``top`` largest values.  The lifetimes, then the censoring times, are
+    drawn into ``buffers``, float arrays of at least ``len(keys[0])`` rows
     of ``n`` (new ones where fewer than two are given), and all later work
     is in them; whole rows are returned in them.
     """
-    rngs = [rng._keyed(k) for k in (_stream_keys(seed, block, complete_data) if keys is None else keys)]
-    x, y = [b[: len(block)] for b in buffers] + [np.empty((len(block), n)) for _ in range(2 - len(buffers))]
+    rngs, rows = [rng._keyed(k) for k in keys], len(keys[0])
+    x, y = [b[:rows] for b in buffers] + [np.empty((rows, n)) for _ in range(2 - len(buffers))]
     delta = _draw(model_x, model_y, x, y, *rngs)
     return SortedCensoredSample(*map(_read_only, _top_sorted(x, delta, n if top is None else top, y)))
 
@@ -250,8 +250,7 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
         for lo in range(0, len(rows), per_pass):
             keys = _stream_keys(seed, part := rows[lo : lo + per_pass], complete_data)
             for at in range(0, len(part), size):
-                yield score(_draw_block(model_x, model_y, n, seed, part[at : at + size], complete_data, top,
-                                        [k[at : at + size] for k in keys], buffers))
+                yield score(_draw_block(model_x, model_y, n, [k[at : at + size] for k in keys], top, buffers))
 
     parts = parallel.replicate_map(lambda blocks: (sum if total else list)(scores(blocks)), len(starts), workers)
     return sum(parts) if total else np.concatenate([value for part in parts for value in part])

@@ -91,7 +91,7 @@ def _cmd_estimate(args) -> None:
     for est in args.estimator:
         if args.all_k or args.k in (None, "auto"):  # a None default lets argparse see --k auto clash with --all-k
             ks = (all_ks[estimators.min_valid_k(est) - 1 :] if args.all_k
-                  else np.array([selection.reiss_thomas_k(s, est, theta=args.theta).k_star]))
+                  else np.array([selection._k_star(s, est, theta=args.theta)]))
             values = estimators.sweep(s, est, ks)
         else:  # evaluate reads sweep's kernel, so its bits, and raises where k is out of range or undefined
             ks, values = np.array([args.k]), np.array([estimators.evaluate(s, args.k, est)])
@@ -110,10 +110,12 @@ def _cmd_estimate(args) -> None:
 
 def _cmd_select_k(args) -> None:
     s = _sample(args.input)
-    sel = selection.reiss_thomas_k(s, args.estimator, theta=args.theta, k_min=args.k_min, k_max=args.k_max)
+    call = (s, args.estimator, args.theta, args.k_min, args.k_max)
+    sel = selection.reiss_thomas_k(*call) if args.criterion_out else None
+    k_star = selection._k_star(*call) if sel is None else sel.k_star  # k* alone may stop the path early
     with _open_out(args.out) as fh:
         fh.write(SELECT_CSV_HEADER + "\n")
-        fh.write(f"{sel.k_star},{io.fmt(sel.theta)},{sel.estimator_id}\n")
+        fh.write(f"{k_star},{io.fmt(args.theta)},{args.estimator}\n")
     if args.criterion_out:
         with _open_out(args.criterion_out) as fh:
             fh.write("k,criterion\n")

@@ -326,6 +326,11 @@ _PATHS = {
 
 ESTIMATOR_IDS = tuple(_PATHS)
 
+# estimator id -> a bound on |path value| at every k <= k_max, known before the path is (selection._k_star), for
+# the O(k) kernel, defined at every k: weights in (0, 1] and log excesses >= 0 give 0 <= new(k) <= the top k's log
+# excess sum, which grows with k; doubled, plus k_max**2 * 2**-50, it covers the roundings of both sides
+_PATH_BOUNDS = {"new": lambda s, k_max: 2.0 * float(s._hill_sums[k_max - 1]) + k_max**2 * 2.0**-50}
+
 
 def _at(s: SortedCensoredSample, k: int, estimator_id: str) -> float:
     """The path kernel read at one threshold; UndefinedEstimateError where it gives NaN."""

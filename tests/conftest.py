@@ -4,7 +4,9 @@ import tempfile
 import numpy as np
 import pytest
 
-from tailcens import Burr, Frechet, LogGamma, Pareto, estimators, generate_censored, parallel, sort_censored, stream
+from tailcens import (
+    Burr, Frechet, LogGamma, Pareto, censored, estimators, generate_censored, parallel, sort_censored, stream,
+)
 
 # hypothesis writes what it learns under the working directory unless told otherwise; it reads this
 # variable when it first touches that storage, after conftest has run, so the tree stays clean
@@ -43,6 +45,11 @@ def make_sample(seed, n=None):
     mx, my = _PAIRS[seed % len(_PAIRS)]
     z, d = generate_censored(mx, my, n, stream(seed, 1))
     return sort_censored(z, d)
+
+
+def draw_block(model_x, model_y, n, seed, block, complete_data=False, top=None):
+    """censored._draw_block of replicates ``block`` from ``seed``, with the keys _replicates derives for them."""
+    return censored._draw_block(model_x, model_y, n, censored._stream_keys(seed, block, complete_data), top)
 
 
 @pytest.fixture

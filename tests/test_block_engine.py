@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 import oracle
+from conftest import draw_block
 
 from tailcens import (
     ESTIMATOR_IDS,
@@ -32,7 +33,7 @@ from tailcens import (
     stream,
     sweep,
 )
-from tailcens.censored import _BLOCK_VALUES, _blocks, _draw_block
+from tailcens.censored import _BLOCK_VALUES, _blocks
 from tailcens.estimators import _sweep
 from tailcens.tailprocess import _fit_stats
 
@@ -125,7 +126,7 @@ class TestGof:
         # each row's statistics, not only the counts that reach the p-values
         n, reps, seed = 200, 120, 2
         null_x, null_y = null_models(oracle.draw(lifetime, lifetime, n, 3, 0), k)
-        ks, cvm, p = _fit_stats(_draw_block(null_x, null_y, n, seed, range(reps), top=k + 1), k)
+        ks, cvm, p = _fit_stats(draw_block(null_x, null_y, n, seed, range(reps), top=k + 1), k)
         for r in range(reps):
             null = oracle.draw(null_x, null_y, n, seed, r)
             assert (ks[r], cvm[r], p[r]) == (*oracle.fit_stats(null, k), null.top_delta_prefix[k - 1] / k)
@@ -206,7 +207,7 @@ class TestKernelsAlongTheBlockAxis:
     @pytest.mark.parametrize("model_x,model_y", [(Burr(1.0, 2.0, 1.0), Frechet(0.9)), (TIES, TIES)])
     def test_whole_rows(self, model_x, model_y):
         n = 120
-        block = _draw_block(model_x, model_y, n, 3, range(10, 16))
+        block = draw_block(model_x, model_y, n, 3, range(10, 16))
         ks = np.arange(0, n + 1)
         for j, r in enumerate(range(10, 16)):
             s = oracle.draw(model_x, model_y, n, 3, r)
@@ -218,7 +219,7 @@ class TestKernelsAlongTheBlockAxis:
     @pytest.mark.parametrize("k", [1, 2, 17, 119])
     def test_top_k_plus_one_rows(self, model_x, model_y, k):
         n = 120
-        block = _draw_block(model_x, model_y, n, 3, range(6), top=k + 1)
+        block = draw_block(model_x, model_y, n, 3, range(6), top=k + 1)
         for j in range(6):
             s = oracle.draw(model_x, model_y, n, 3, j)
             assert np.array_equal(block.z[j], s.z[-k - 1 :]) and np.array_equal(block.delta[j], s.delta[-k - 1 :])

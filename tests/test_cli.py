@@ -146,6 +146,14 @@ class TestSelectK:
         assert capsys.readouterr().out == crit.read_text() and crit.read_text().startswith("k,criterion\n")
         assert row.read_text() == written and not (tmp_path / "-").exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--estimator", "efg", "--theta", "0.5", "--k-min", "3", "--k-max", "90"]])
+    def test_row_without_the_curve_is_the_row_with_it(self, pareto_csv, tmp_path, capsys, flags):
+        # without --criterion-out only k* is needed, through selection._k_star
+        run_ok(["select-k", "--input", pareto_csv, *flags, "--criterion-out", tmp_path / "crit.csv"])
+        with_curve = capsys.readouterr().out
+        run_ok(["select-k", "--input", pareto_csv, *flags])
+        assert capsys.readouterr().out == with_curve
+
     def test_theta_validation(self, pareto_csv):
         with pytest.raises(SystemExit) as exc:
             main(["select-k", "--input", str(pareto_csv), "--theta", "0.9"])

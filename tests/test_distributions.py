@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, special
+from conftest import draw_block
 
 from tailcens import (
     Burr,
@@ -16,7 +17,6 @@ from tailcens import (
     parse_model,
     stream,
 )
-from tailcens.censored import _draw_block
 
 ALL_MODELS = [Burr(1.0, 2.0, 1.5), Frechet(0.8), LogGamma(2.0, 0.5), Pareto(1.2)]
 
@@ -135,7 +135,7 @@ class TestSample:
             raise AssertionError("the draw path went through the public quantile")
 
         monkeypatch.setattr(HeavyTailModel, "quantile", refuse)
-        assert _draw_block(model, Pareto(1.0), 30, 4, range(5)).z.shape == (5, 30)
+        assert draw_block(model, Pareto(1.0), 30, 4, range(5)).z.shape == (5, 30)
         assert model.sample(3, stream(2)).shape == (3,)
 
 

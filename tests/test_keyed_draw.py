@@ -12,6 +12,7 @@ seeded output quietly.
 
 import numpy as np
 import pytest
+from conftest import draw_block
 
 from tailcens import Burr, Frechet, LogGamma, Pareto, stream
 from tailcens.censored import _draw_block
@@ -122,7 +123,7 @@ class TestDrawBlock:
     @pytest.mark.parametrize("top", [None, 11])
     def test_against_seed_sequence_reference(self, model_x, complete_data, block, top):
         n, model_y = 40, Pareto(0.8)
-        got = _draw_block(model_x, model_y, n, 17, block, complete_data, top)
+        got = draw_block(model_x, model_y, n, 17, block, complete_data, top)
         m = n if top is None else top
         assert got.z.shape == got.delta.shape == (len(block), m)
         for j, (z, delta) in enumerate(reference_block(model_x, model_y, n, 17, block, complete_data)):
@@ -134,8 +135,8 @@ class TestDrawBlock:
         block = range(3, 7)
         tails = [()] if complete_data else [(0,), (1,)]
         whole = [_keys(2, range(10), *t)[3:7] for t in tails]
-        a = _draw_block(Frechet(0.9), Pareto(1.0), 30, 2, block, complete_data, None, whole)
-        b = _draw_block(Frechet(0.9), Pareto(1.0), 30, 2, block, complete_data)
+        a = _draw_block(Frechet(0.9), Pareto(1.0), 30, whole)
+        b = draw_block(Frechet(0.9), Pareto(1.0), 30, 2, block, complete_data)
         assert np.array_equal(a.z, b.z) and np.array_equal(a.delta, b.delta)
 
     @pytest.mark.parametrize("model", MODELS)

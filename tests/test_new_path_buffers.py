@@ -23,13 +23,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import draw_block
 from oracle import weighted_log_sum
 from test_sweep_kernels import integer_day_sample
 
 import tailcens
 from tailcens import (Burr, Pareto, estimators, generate_censored, parallel, sort_censored, stream, sweep,
                       write_censored_csv)
-from tailcens.censored import SortedCensoredSample, _draw_block, _sorted
+from tailcens.censored import SortedCensoredSample, _sorted
 from tailcens.estimators import _new_loop, _sweep
 
 
@@ -91,7 +92,7 @@ def two_row_block():
 
 
 def top_cut_block():
-    return _draw_block(Pareto(1.0), Pareto(1.0), 300, 11, range(7), top=61)
+    return draw_block(Pareto(1.0), Pareto(1.0), 300, 11, range(7), top=61)
 
 
 @pytest.mark.parametrize("grid", GRIDS)

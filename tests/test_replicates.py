@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import oracle
+from conftest import draw_block
 
 from tailcens import (
     Burr,
@@ -67,7 +68,7 @@ class TestStructure:
 
     def test_one_sample_type(self):
         assert not {"_SampleBlock", "_TailView"} & set(vars(censored))
-        block = censored._draw_block(Pareto(1.0), Pareto(1.0), N, 0, range(3))
+        block = draw_block(Pareto(1.0), Pareto(1.0), N, 0, range(3))
         assert type(block) is censored.SortedCensoredSample and block.z.shape == (3, N)
 
     def test_one_number_predicate(self):

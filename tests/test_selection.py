@@ -1,12 +1,22 @@
 import math
+from unittest import mock
 
 import numpy as np
 import oracle
 import pytest
 
-from tailcens import Burr, Pareto, generate_censored, reiss_thomas_k, sort_censored, stream, sweep
+from conftest import make_sample
+from tailcens import (
+    ESTIMATOR_IDS, Burr, Pareto, generate_censored, reiss_thomas_k, selection, sort_censored, stream, sweep,
+)
 from tailcens.estimators import min_valid_k
-from tailcens.selection import _scan
+from tailcens.selection import _k_star, _scan
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs it
+    given = None
 
 
 def constant_hill_sample(n=40, c=0.5, top=5.0):
@@ -126,6 +136,81 @@ class TestReissThomas:
         assert reiss_thomas_k(sort_censored(np.arange(1.0, 5.0), np.ones(4, dtype=int)), "hill").k_star == 2
 
 
+def outcome(pick, *args, **kwargs):
+    try:
+        return pick(*args, **kwargs)
+    except ValueError as error:
+        return str(error)
+
+
+def k_star_sweeps(s, *args, first=None):
+    """_k_star(s, *args) and the threshold count of each sweep it ran, with the first prefix ``first`` if given."""
+    ks, real = [], selection.sweep
+    with mock.patch.object(selection, "sweep", lambda s, e, k: ks.append(len(k)) or real(s, e, k)), \
+            mock.patch.object(selection, "_FIRST_PREFIX", first or selection._FIRST_PREFIX):
+        return _k_star(s, *args), ks
+
+
+class TestKStar:
+    """_k_star stops the path at a prefix that proves k*, and always gives reiss_thomas_k's k*."""
+
+    def test_proof_at_the_first_prefix(self):
+        s = sort_censored(*generate_censored(Burr(1.0, 2.0, 1.0), Burr(1.0, 2.0, 2.0), 2_000, stream(31)))
+        k, sweeps = k_star_sweeps(s, "new", 0.3, first=64)
+        assert sweeps == [63]  # thresholds 2..64
+        assert k == reiss_thomas_k(s, "new").k_star
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
+    def test_tied_top_half_is_decided_by_the_full_scan(self, theta):
+        # new is 0 while the threshold ties the top: crit(k) = 0 over a range, so no prefix separates its minimizer
+        z, delta = generate_censored(Burr(1.0, 2.0, 1.0), Burr(1.0, 2.0, 2.0), 400, stream(32))
+        z = np.sort(z)
+        z[200:] = z[200]
+        s = sort_censored(z, delta)
+        sel = reiss_thomas_k(s, "new", theta)
+        assert np.count_nonzero(sel.criterion_values == 0.0) > 150
+        k, sweeps = k_star_sweeps(s, "new", theta, first=8)
+        assert sweeps == [7, 8, 16, 367] and sum(sweeps) == s.n - 2  # prefixes to 8, 16 and 32 tried, then the rest
+        assert k == sel.k_star
+
+    def test_k_max_below_the_first_prefix_is_one_full_scan(self):
+        s = make_sample(5, n=2_000)
+        k, sweeps = k_star_sweeps(s, "new", 0.3, 2, 500)
+        assert sweeps == [499] and k == reiss_thomas_k(s, "new", k_max=500).k_star
+
+    @pytest.mark.parametrize("estimator_id", ["hill", "efg", "ww1", "ww2"])
+    def test_kernels_without_a_bound_take_the_whole_path(self, estimator_id):
+        s = make_sample(6, n=300)
+        k, sweeps = k_star_sweeps(s, estimator_id, 0.3, first=4)
+        assert sweeps == [300 - min_valid_k(estimator_id)] and k == reiss_thomas_k(s, estimator_id).k_star
+
+    def test_tail_scan_shaped_input_evaluates_at_most_2048_thresholds(self, day_sample, day_paths):
+        k, sweeps = k_star_sweeps(day_sample, "new")
+        assert sum(sweeps) <= 2048
+        assert k == 2 + int(np.nanargmin(_scan(*day_paths["new"], 0.3, 2)))
+
+    @pytest.mark.parametrize("kwargs", [{"theta": 0.6}, {"k_min": 1}, {"k_max": 1000}, {"estimator_id": "nope"}])
+    def test_shares_the_argument_rules(self, kwargs):
+        s, kwargs = make_sample(0, n=60), {"estimator_id": "hill", **kwargs}
+        message = outcome(_k_star, s, **kwargs)
+        assert isinstance(message, str) and message == outcome(reiss_thomas_k, s, **kwargs)
+
+    if given is not None:
+        @given(st.sampled_from([4, 16, 64]), st.integers(4, 800), st.integers(0, 2**16), st.sampled_from([0, 1, 60]),
+               st.sampled_from([0.0, 0.3, 0.5]), st.data())
+        def test_equals_the_full_selection(self, first, n, seed, days, theta, data):
+            # n below, at and above the first prefix; days > 0 rounds up to whole days (ties), and 1 ties most values
+            z, delta = generate_censored(Burr(1.0, 2.0, 1.0), Burr(1.0, 2.0, 0.5 + seed % 3), n, stream(seed))
+            s = sort_censored(np.ceil(days * z) if days else z, delta)
+            k_min = data.draw(st.sampled_from([2, 3, 10]).filter(lambda k: k <= n - 2))
+            k_max = data.draw(st.one_of(st.none(), st.integers(k_min + 1, n - 1)))
+            for estimator_id in ESTIMATOR_IDS:
+                args = (s, estimator_id, theta, k_min, k_max)
+                with mock.patch.object(selection, "_FIRST_PREFIX", first):
+                    got = outcome(_k_star, *args)
+                assert got == outcome(lambda *a: reiss_thomas_k(*a).k_star, *args)
+
+
 def assert_scan_bits(path_ks, path, theta, k_min):
     """_scan, every k at once, has the bits of the Fenwick loop over k, NaN in the same places."""
     got, want = _scan(path_ks, path, theta, k_min), oracle.scan(path_ks, path, theta, k_min)
@@ -134,12 +219,18 @@ def assert_scan_bits(path_ks, path, theta, k_min):
 
 
 @pytest.fixture(scope="module")
-def day_paths():
-    """efg and new paths of n = 20 000 heavy-tailed lifetimes rounded up to whole days, so values tie."""
+def day_sample():
+    """n = 20 000 heavy-tailed lifetimes rounded up to whole days, so values tie."""
     z, delta = generate_censored(Burr(1.0, 2.0, 1.0), Burr(1.0, 2.0, 0.75), 20_000, stream(18))
     s = sort_censored(np.ceil(60.0 * z), delta)
     assert np.unique(s.z).size < s.n // 10
-    paths = {}
+    return s
+
+
+@pytest.fixture(scope="module")
+def day_paths(day_sample):
+    """efg and new paths of the day sample."""
+    s, paths = day_sample, {}
     for estimator_id in ("efg", "new"):
         path_ks = np.arange(min_valid_k(estimator_id), s.n)
         paths[estimator_id] = path_ks, sweep(s, estimator_id, path_ks)
