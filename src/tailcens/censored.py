@@ -85,11 +85,6 @@ class SortedCensoredSample:
         return _read_only(np.cumprod(factors, axis=-1)[..., ::-1])
 
 
-def _sorted(z: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending order along the last axis with deaths first on ties, and the top-down uncensored counts."""
-    return _top_sorted(z, delta, z.shape[-1])
-
-
 def sort_censored(z, delta) -> SortedCensoredSample:
     """Sort observations ascending, carrying the indicators along.
 
@@ -109,7 +104,7 @@ def sort_censored(z, delta) -> SortedCensoredSample:
         raise ValueError(f"the largest observation over the smallest must be a finite ratio, got {hi!r} / {lo!r}")
     if not np.all((delta == 0) | (delta == 1)):
         raise ValueError("censoring indicators must be 0 or 1")
-    return SortedCensoredSample(*map(_read_only, _sorted(z, delta)))
+    return SortedCensoredSample(*map(_read_only, _top_sorted(z, delta, z.size)))
 
 
 def censor(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +168,7 @@ def _blocks(n: int, reps: int) -> range:
 
 
 def _top_sorted(z: np.ndarray, delta: np.ndarray, m: int, spare: np.ndarray | None = None):
-    """The top ``m`` of each row of float ``z`` > 0 in ``_sorted``'s order, and their top-down uncensored counts.
+    """The top ``m`` of each row of float ``z`` > 0, ascending with deaths first on ties, and their top-down counts.
 
     One uint64 key per point carries that order: z > 0, so its float bits order as integers, and the
     low bit, set when censored, puts deaths first on ties.  Equal keys are equal pairs, so partitioning at

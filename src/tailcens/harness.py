@@ -20,7 +20,7 @@ from .censored import _replicates
 from .distributions import HeavyTailModel, format_model
 from .estimators import _checked_id, _new_path, _sweep
 from .io import fmt
-from .rules import _check_count, _check_distinct, _check_flag, _check_k, _check_models, _check_workers
+from .rules import _check_count, _check_distinct, _check_flag, _check_k, _check_models
 
 __all__ = ["McConfig", "McResult", "default_k_grid", "run_bias_rmse", "run_variance_check", "write_result_csv",
            "write_meta", "RESULT_CSV_HEADER"]
@@ -77,16 +77,14 @@ class McResult:
     undefined_count: np.ndarray
 
 
-def run_bias_rmse(cfg: McConfig, workers: int = 1) -> McResult:
+def run_bias_rmse(cfg: McConfig) -> McResult:
     """Replicate the experiment and aggregate bias and RMSE per cell.
 
     Replicates run through ``censored._replicates`` with rows sorted whole
     (``ww1``/``ww2`` read the whole Kaplan-Meier curve), one sweep call per
-    estimator and block.  ``fold`` adds each block's err and err**2 to ``sums``
-    here, in O(block) memory: the blocks must run in order in this process,
-    so ``workers`` is checked and the blocks run with ``workers=1``.
+    estimator and block.  ``fold`` adds each block's err and err**2 into the
+    caller's ``sums``, in O(block) memory, so the blocks run in order in this process.
     """
-    _check_workers(workers)
     gamma1, ks = cfg.model_x.true_evi, np.array(cfg.k_grid)
     sums = np.zeros((2, len(cfg.estimators), ks.size))  # the nansums of err and err**2 so far
 

@@ -14,7 +14,7 @@ block replicate engine behind ``gof_pvalue``, ``run_bias_rmse`` and
 ``scan`` is the threshold-selection criterion as a Fenwick-tree loop over
 k, the bitwise reference of the level-by-level ``selection._scan``, and
 ``sorted_pairs`` the two-key ``np.lexsort`` order, the bitwise reference of
-the one-key sort in ``censored._sorted`` and ``censored._top_sorted``.
+the one-key sort in ``censored._top_sorted``.
 """
 
 import numpy as np
@@ -180,7 +180,7 @@ def scan(path_ks: np.ndarray, path: np.ndarray, theta: float, k_min: int) -> np.
 
 
 def sorted_pairs(z: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """censored._sorted by np.lexsort on (z, 1 - delta): ascending, deaths first on ties, and the top-down counts.
+    """censored._top_sorted of whole rows by np.lexsort on (z, 1 - delta): ascending, deaths first, top-down counts.
 
     ``delta`` must be an int64 array of 0 and 1.  The library sorts one
     uint64 key per point instead; it must give these bits.

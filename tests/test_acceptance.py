@@ -155,7 +155,7 @@ def test_05_comparative_rmse_orderings():
             estimators=("new", "efg", "ww1"),
             seed=42,
         )
-        results[p] = run_bias_rmse(cfg, workers=2)
+        results[p] = run_bias_rmse(cfg)
     grid = np.asarray(results[0.33].config.k_grid)
     upper = slice(len(grid) // 2, None)
 

@@ -75,7 +75,7 @@ def assert_gof_equal(s, k, reps, seed):
 
 
 def assert_mc_equal(cfg):
-    result = run_bias_rmse(cfg, workers=2)
+    result = run_bias_rmse(cfg)
     for got, want in zip((result.bias, result.rmse, result.undefined_count), oracle.bias_rmse(cfg)):
         assert np.array_equal(got, want, equal_nan=True)
 

@@ -60,9 +60,7 @@ class TestBiasRmse:
 
     def test_deterministic_across_runs_and_workers(self):
         cfg = small_config()
-        a = run_bias_rmse(cfg, workers=1)
-        b = run_bias_rmse(cfg, workers=3)
-        c = run_bias_rmse(cfg, workers=1)
+        a, b, c = (run_bias_rmse(cfg) for _ in range(3))
         for x, y in ((a, b), (a, c)):
             assert np.array_equal(x.bias, y.bias, equal_nan=True)
             assert np.array_equal(x.rmse, y.rmse, equal_nan=True)

@@ -30,7 +30,7 @@ from test_sweep_kernels import integer_day_sample
 import tailcens
 from tailcens import (Burr, Pareto, estimators, generate_censored, parallel, sort_censored, stream, sweep,
                       write_censored_csv)
-from tailcens.censored import SortedCensoredSample, _sorted
+from tailcens.censored import SortedCensoredSample, _top_sorted
 from tailcens.estimators import _new_loop, _sweep
 
 
@@ -85,7 +85,7 @@ def two_row_block():
         z[run] = z[run.start]
         lone.append((z, np.arange(n) % 3 != 1))
     z, delta = (np.stack(a) for a in zip(*lone))
-    block = SortedCensoredSample(*_sorted(z, delta.astype(np.int64)))
+    block = SortedCensoredSample(*_top_sorted(z, delta.astype(np.int64), n))
     top = block.z[:, ::-1]
     assert top[0, 20] == top[0, 40] and top[1, 20] != top[1, 40]  # the rows' runs differ
     return block

@@ -1,10 +1,10 @@
 """The one-key sample order, and the memory of the threshold-selection scan.
 
-``censored._sorted`` and ``censored._top_sorted`` order each row by one
-uint64 key per point; ``oracle.sorted_pairs``, the two-key ``np.lexsort``,
-is the reference they must match bit for bit: whole rows and top cuts, 1-D
-samples and 2-D blocks, on ties, subnormal and near-max values and every
-indicator dtype ``sort_censored`` accepts.  ``reiss_thomas_k`` scans every k
+``censored._top_sorted`` orders each row by one uint64 key per point;
+``oracle.sorted_pairs``, the two-key ``np.lexsort``, is the reference it
+must match bit for bit: whole rows and top cuts, 1-D samples and 2-D
+blocks, on ties, subnormal and near-max values and every indicator dtype
+``sort_censored`` accepts.  ``reiss_thomas_k`` scans every k
 with a fixed number of sample-sized arrays, bounded here per sample point.
 """
 
@@ -15,7 +15,7 @@ import oracle
 import pytest
 
 from tailcens import Burr, Pareto, generate_censored, reiss_thomas_k, sort_censored, stream
-from tailcens.censored import _sorted, _top_sorted
+from tailcens.censored import _top_sorted
 
 MAX = np.finfo(float).max
 # each row keeps its largest over its smallest a finite ratio, as sort_censored requires
@@ -55,9 +55,9 @@ BLOCKS = {
 @pytest.mark.parametrize("name", BLOCKS)
 def test_block_sort_is_the_lexsort(name):
     z, delta = BLOCKS[name]
-    assert_bits(_sorted(z, delta), oracle.sorted_pairs(z, delta))
+    assert_bits(_top_sorted(z, delta, z.shape[-1]), oracle.sorted_pairs(z, delta))
     for row in range(z.shape[0]):  # a 1-D sample as its own row
-        assert_bits(_sorted(z[row], delta[row]), oracle.sorted_pairs(z[row], delta[row]))
+        assert_bits(_top_sorted(z[row], delta[row], z.shape[-1]), oracle.sorted_pairs(z[row], delta[row]))
 
 
 @pytest.mark.parametrize("name", BLOCKS)

@@ -259,12 +259,10 @@ def test_each_process_derives_the_keys_of_its_own_rows(blocks_split, monkeypatch
 
 def test_bias_rmse_runs_its_blocks_here_whatever_the_workers(monkeypatch):
     cfg = McConfig(Pareto(1.0), Pareto(2.0), N, 300, (10, 40), ("new", "efg"), seed=2)
-    serial = run_bias_rmse(cfg, workers=1)
+    serial = run_bias_rmse(cfg)
     cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
-    two = run_bias_rmse(cfg, workers=2)
+    two = run_bias_rmse(cfg)
     for got, want in zip((two.bias, two.rmse, two.undefined_count),
                          (serial.bias, serial.rmse, serial.undefined_count)):
         assert np.array_equal(got, want, equal_nan=True)
-    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
-        run_bias_rmse(cfg, workers=0)

@@ -19,7 +19,7 @@ from test_input_rules import _reference_curve
 from tailcens import (
     ESTIMATOR_IDS, delta_curve, evaluate, hill, integrate_delta, new_terms, new_weighted, p_hat, sort_censored, sweep,
 )
-from tailcens.censored import SortedCensoredSample, _sorted, _top_sorted
+from tailcens.censored import SortedCensoredSample, _top_sorted
 from tailcens.estimators import _new_loop
 from tailcens.selection import _scan
 from tailcens.tailprocess import _fit_stats
@@ -50,7 +50,7 @@ def lone(z, delta, i):
 def test_top_cut_keeps_the_top_of_the_whole_sort(block, data):
     z, delta, _ = block
     m = data.draw(st.integers(1, z.shape[-1]))
-    top, whole = _top_sorted(z, delta, m), _sorted(z, delta)
+    top, whole = _top_sorted(z, delta, m), _top_sorted(z, delta, z.shape[-1])
     for got, want in zip(top, (whole[0][:, -m:], whole[1][:, -m:], whole[2][:, :m])):
         assert np.array_equal(got, want)
 

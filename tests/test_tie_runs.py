@@ -14,7 +14,7 @@ from test_selection import brute_force_selection
 from test_sweep_kernels import integer_day_sample
 
 from tailcens import reiss_thomas_k, sort_censored, sweep
-from tailcens.censored import SortedCensoredSample, _sorted
+from tailcens.censored import SortedCensoredSample, _top_sorted
 from tailcens.estimators import _sweep
 
 
@@ -65,7 +65,7 @@ class TestNewKernelOnTieRuns:
             z = np.sort(np.exp(np.random.default_rng(seed).standard_normal(n)))[::-1].copy()
             z[run] = z[run.start]  # a tie run of its own, overlapping the other row's at k = 31..39
             lone.append(sort_censored(z, np.arange(n) % 2))
-        block = SortedCensoredSample(*_sorted(np.stack([s.z for s in lone]), np.stack([s.delta for s in lone])))
+        block = SortedCensoredSample(*_top_sorted(np.stack([s.z for s in lone]), np.stack([s.delta for s in lone]), n))
         ks = np.arange(2, n)
         got = _sweep(block, "new", ks)
         for row, s in zip(got, lone):
