@@ -157,14 +157,20 @@ def generate_censored(
     return z[0], _draw(model_x, model_y, z, y, [rng_x], [rng_y])[0].astype(np.int64)
 
 
-# a replicate block holds at most this many values (rows * n): see _replicates
+# a replicate block holds at most this many values (rows * n): cut rows, then whole rows; see _replicates
 _BLOCK_VALUES = 2**14
+_WHOLE_BLOCK_VALUES = 2**13
 _KEY_ROWS = 2**12  # and one pass of key derivation at most this many rows
 
 
-def _blocks(n: int, reps: int) -> range:
-    """The first replicate of each block of max(1, _BLOCK_VALUES // n) rows (the step), covering 0..reps-1."""
-    return range(0, reps, max(1, _BLOCK_VALUES // _check_count(n, 1, "n")))
+def _blocks(n: int, reps: int, top: int | None) -> range:
+    """The first replicate of each block of max(1, budget // n) rows (the step), covering 0..reps-1.
+
+    The budget is _WHOLE_BLOCK_VALUES for whole rows (``top`` None) and _BLOCK_VALUES for rows cut to their ``top``
+    largest values.
+    """
+    budget = _WHOLE_BLOCK_VALUES if top is None else _BLOCK_VALUES
+    return range(0, reps, max(1, budget // _check_count(n, 1, "n")))
 
 
 def _top_sorted(z: np.ndarray, delta: np.ndarray, m: int, spare: np.ndarray | None = None):
@@ -214,8 +220,11 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
                 workers: int, complete_data: bool = False, top: int | None = None, total: bool = False) -> np.ndarray:
     """``score`` of replicates 0..reps-1 of size ``n``, joined in replicate order, or with ``total`` their sum.
 
-    Replicates run in blocks of max(1, _BLOCK_VALUES // n) consecutive
-    indices.  ``replicate_map`` cuts the blocks once into contiguous ranges
+    Replicates run in blocks of max(1, budget // n) consecutive indices
+    (:func:`_blocks`).  Whole rows get half the budget of cut rows: a
+    whole-row scorer (``run_bias_rmse``'s fold) holds about ten block-sized
+    arrays at once, a cut block's scorer two draw buffers and (rows, top)
+    stacks.  ``replicate_map`` cuts the blocks once into contiguous ranges
     over up to ``workers`` processes, and each process runs its range's
     blocks in order.  Row j of a block is replicate r_j as a lone replicate
     draws it, its lifetimes from stream (seed, r_j, 0) and its censoring
@@ -232,7 +241,7 @@ def _replicates(model_x: HeavyTailModel, model_y: HeavyTailModel, n: int, reps: 
     lost.  It must not keep the block, or a view of it, past its call: the
     next block overwrites it.
     """
-    starts = _blocks(n, reps)
+    starts = _blocks(n, reps, top)
     _check_workers(workers)  # before any buffer is made
     size = starts.step  # rows a block
     per_pass = max(1, _KEY_ROWS // size) * size  # rows a key pass derives

@@ -26,7 +26,7 @@ from . import censored, distributions, estimators, harness, io, rules, selection
 ESTIMATE_CSV_HEADER = "estimator,k,value,p_hat,std_err,ci_lo,ci_hi"
 SELECT_CSV_HEADER = "k_star,theta,estimator"
 ROW_CHUNK = 4096  # table rows held as Python scalars at a time: a table of every k stays O(n) arrays
-WORKERS_HELP = "integer >= 1: gof forks its replicates over up to this many CPUs (same output); simulate runs in order"
+WORKERS_HELP = "integer >= 1: gof forks its replicates over up to this many CPUs (same output)"
 SIM_WORKERS_HELP = "integer >= 1, no effect on simulate, kept until ROADMAP item 2 lets the benchmark stop passing it"
 
 

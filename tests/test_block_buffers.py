@@ -16,10 +16,10 @@ import pytest
 
 from tailcens import ESTIMATOR_IDS, McConfig, Pareto, gof_pvalue, run_bias_rmse, run_variance_check, stream
 from tailcens import generate_censored, sort_censored
-from tailcens.censored import _BLOCK_VALUES, _replicates
+from tailcens.censored import _blocks, _replicates
 
 N = 200
-ROWS = _BLOCK_VALUES // N  # 81 rows per block at n = 200
+ROWS = {top: _blocks(N, 1, top).step for top in (None, 11)}  # rows a block at n = 200: 40 whole, 81 cut
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def draws(monkeypatch):
 
 @pytest.mark.parametrize("top", [None, 11])
 def test_consecutive_blocks_draw_into_the_same_storage(draws, top):
-    _replicates(Pareto(1.0), Pareto(2.0), N, 2 * ROWS + 1, 4, lambda v: v.z[:, :1].copy(), 1, top=top)
+    _replicates(Pareto(1.0), Pareto(2.0), N, 2 * ROWS[top] + 1, 4, lambda v: v.z[:, :1].copy(), 1, top=top)
     assert len(draws) == 2 * 3  # three blocks, the last of one row
     address = [out.__array_interface__["data"][0] for out in draws]
     assert address[0::2] == [address[0]] * 3, "every block draws its lifetimes into one buffer"
@@ -48,7 +48,7 @@ def test_consecutive_blocks_draw_into_the_same_storage(draws, top):
 
 def test_whole_rows_are_scored_in_the_block_storage(draws):
     blocks = []  # kept past their calls only to compare storage, never read
-    _replicates(Pareto(1.0), Pareto(2.0), N, 2 * ROWS, 4, lambda v: blocks.append(v.z) or v.z[:, :1].copy(), 1)
+    _replicates(Pareto(1.0), Pareto(2.0), N, 2 * ROWS[None], 4, lambda v: blocks.append(v.z) or v.z[:, :1].copy(), 1)
     assert len(blocks) == 2
     for z in blocks:  # the sorted lifetimes' minima sit where the lifetimes were drawn
         assert np.shares_memory(z, draws[0]) and not z.flags.writeable
@@ -64,7 +64,7 @@ def test_public_draws_never_return_the_block_storage(draws):
         assert np.array_equal(u, np.full(5, 0.25)), "quantile leaves its argument as it was"
         return np.zeros((len(v.z), 1))
 
-    _replicates(Pareto(1.0), Pareto(2.0), N, ROWS + 1, 4, score, 1)
+    _replicates(Pareto(1.0), Pareto(2.0), N, ROWS[None] + 1, 4, score, 1)
 
 
 def test_two_threads_running_gof_at_once_each_get_the_serial_report():
@@ -91,7 +91,7 @@ def test_two_threads_running_gof_at_once_each_get_the_serial_report():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("n,reps", [(N, 2 * ROWS + 5), (2_000, 101), (20_000, 100)])
+@pytest.mark.parametrize("n,reps", [(N, 2 * ROWS[11] + 5), (2_000, 101), (20_000, 100)])
 def test_reports_do_not_depend_on_workers(monkeypatch, n, reps):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)  # so three workers fork
     s = sort_censored(*generate_censored(Pareto(1.0), Pareto(2.0), n, stream(n)))

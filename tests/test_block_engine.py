@@ -33,7 +33,7 @@ from tailcens import (
     stream,
     sweep,
 )
-from tailcens.censored import _BLOCK_VALUES, _blocks
+from tailcens.censored import _BLOCK_VALUES, _WHOLE_BLOCK_VALUES, _blocks
 from tailcens.estimators import _sweep
 from tailcens.tailprocess import _fit_stats
 
@@ -42,8 +42,8 @@ from tailcens.tailprocess import _fit_stats
 TIES = Frechet(1e-15)
 
 
-def rows(n):
-    return _blocks(n, _BLOCK_VALUES).step
+def rows(n, top):
+    return _blocks(n, _BLOCK_VALUES, top).step
 
 
 def tie_counts(samples, k):
@@ -85,15 +85,19 @@ def config(model_x, model_y, n, reps, k_grid=None, complete_data=False):
 
 
 def test_block_sizes():
-    assert _BLOCK_VALUES == 2**14
-    assert [rows(n) for n in (200, 163, 2_000, 16_384, 20_000)] == [81, 100, 8, 1, 1]
-    starts = _blocks(200, 163)
-    assert [len(range(163)[lo : lo + starts.step]) for lo in starts] == [81, 81, 1]
-    assert [r for lo in starts for r in range(163)[lo : lo + starts.step]] == list(range(163))
+    # cut rows (top k+1) get 2**14 values a block, whole rows 2**13: a whole-row fold holds about ten block-sized arrays
+    assert (_BLOCK_VALUES, _WHOLE_BLOCK_VALUES) == (2**14, 2**13)
+    ns = (200, 163, 2_000, 16_384, 20_000)
+    assert [rows(n, 11) for n in ns] == [81, 100, 8, 1, 1]
+    assert [rows(n, None) for n in ns] == [40, 50, 4, 1, 1]
+    for top, sizes in ((11, [81, 81, 1]), (None, [40, 40, 40, 40, 3])):
+        starts = _blocks(200, 163, top)
+        assert [len(range(163)[lo : lo + starts.step]) for lo in starts] == sizes
+        assert [r for lo in starts for r in range(163)[lo : lo + starts.step]] == list(range(163))
 
 
 def test_blocks_are_built_on_use():
-    starts = _blocks(200, 2**70)  # a list of 2**70 / 81 blocks would never finish
+    starts = _blocks(200, 2**70, 11)  # a list of 2**70 / 81 blocks would never finish
     assert type(starts) is range and starts.step == 81
     assert range(2**70)[starts[-1] : starts[-1] + starts.step].stop == 2**70
 
@@ -111,7 +115,7 @@ class TestGof:
         d = np.ones(n, dtype=np.int64)
         d[np.argmax(z)] = 0
         s = sort_censored(z, d)
-        assert rows(n) == 1
+        assert rows(n, k + 1) == 1
         assert_gof_equal(s, k, 100, 0)
 
     def test_ties_at_the_cut_and_in_the_curve(self):
@@ -143,7 +147,7 @@ class TestGof:
 
 
 class TestBiasRmse:
-    @pytest.mark.parametrize("reps", [5, 81, 100])
+    @pytest.mark.parametrize("reps", [5, 40, 41, 80, 81, 100])  # whole-row blocks of 40 rows at n = 200
     def test_reps_below_at_and_off_block_multiples(self, reps):
         assert_mc_equal(config(Burr(1.0, 2.0, 1.0), Burr(1.0, 2.0, 2.0), 200, reps))
 

@@ -253,6 +253,12 @@ class TestWorkers:
         err = capsys.readouterr().err
         assert "Burr(beta=1.0, tau=0.01, lam=1.0) drew censoring times <= 0" in err and "RuntimeWarning" not in err
 
+    def test_gof_help_speaks_of_gof_alone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gof", "--help"])
+        assert exc.value.code == 0
+        assert "simulate" not in capsys.readouterr().out
+
 
 class TestConvert:
     def test_convert_roundtrip(self, tmp_path, capsys):

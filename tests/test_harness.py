@@ -58,7 +58,7 @@ class TestBiasRmse:
         result = run_bias_rmse(cfg)
         assert np.allclose(result.rmse, np.abs(result.bias), equal_nan=True)
 
-    def test_deterministic_across_runs_and_workers(self):
+    def test_deterministic_across_runs(self):
         cfg = small_config()
         a, b, c = (run_bias_rmse(cfg) for _ in range(3))
         for x, y in ((a, b), (a, c)):

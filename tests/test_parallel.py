@@ -257,7 +257,7 @@ def test_each_process_derives_the_keys_of_its_own_rows(blocks_split, monkeypatch
         assert sorted(rows) == list(range(REPS))
 
 
-def test_bias_rmse_runs_its_blocks_here_whatever_the_workers(monkeypatch):
+def test_bias_rmse_runs_its_blocks_here_whatever_the_cpus(monkeypatch):
     cfg = McConfig(Pareto(1.0), Pareto(2.0), N, 300, (10, 40), ("new", "efg"), seed=2)
     serial = run_bias_rmse(cfg)
     cpus(monkeypatch, 2)

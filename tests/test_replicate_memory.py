@@ -17,7 +17,7 @@ import oracle
 import pytest
 
 from tailcens import (
-    McConfig, Pareto, default_k_grid, generate_censored, gof_pvalue, run_bias_rmse, sort_censored, stream,
+    Burr, McConfig, Pareto, default_k_grid, generate_censored, gof_pvalue, run_bias_rmse, sort_censored, stream,
 )
 
 
@@ -37,14 +37,18 @@ def test_gof_peak_memory_stays_flat_from_1e4_to_1e5_reps():
     assert large <= 2 * small, f"peak {large / 2**20:.2f} MiB at 1e5 reps against {small / 2**20:.2f} MiB at 1e4"
 
 
-def mc_peak_bytes(reps):
-    cfg = McConfig(Pareto(1.0), Pareto(2.0), 40, reps, default_k_grid(40), ("new", "efg", "ww1"), seed=1)
+def bias_rmse_peak_bytes(cfg):
     tracemalloc.start()
     try:
         run_bias_rmse(cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def mc_peak_bytes(reps):
+    return bias_rmse_peak_bytes(McConfig(Pareto(1.0), Pareto(2.0), 40, reps, default_k_grid(40), ("new", "efg", "ww1"),
+                                         seed=1))
 
 
 def test_bias_rmse_peak_memory_stays_flat_from_1e3_to_1e4_reps():
@@ -99,3 +103,13 @@ def test_bias_rmse_peak_grows_by_no_per_block_counts_from_4096_to_40960_reps():
     mc_peak_bytes(10)
     small, large = mc_peak_bytes(4_096), mc_peak_bytes(40_960)
     assert large - small < GROWTH_BOUND, f"the peak grew {(large - small) / 2**10:.1f} KiB"
+
+
+def test_bias_rmse_peak_at_the_bench_simulate_design():
+    # simulate's design in the benchmark: P033 (burr:1,2,1 censored by burr:1,2,2.030303), n = 200, three estimators.
+    # Whole-row blocks of 2**13 values (40 rows) peak at about 0.78 MiB here; blocks of 2**14 values peaked at 1.51.
+    cfg = McConfig(Burr(1.0, 2.0, 1.0), Burr(1.0, 2.0, 2.030303), 200, 200, default_k_grid(200), ("new", "efg", "ww1"),
+                   seed=0)
+    run_bias_rmse(dataclasses.replace(cfg, reps=5))  # modules are loaded before measuring
+    peak = bias_rmse_peak_bytes(cfg)
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"

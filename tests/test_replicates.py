@@ -25,11 +25,13 @@ from tailcens import (
     weighted_functional,
 )
 from tailcens import censored, distributions, estimators, harness, parallel, rules, selection, tailprocess
-from tailcens.censored import _BLOCK_VALUES, _replicates
+from tailcens.censored import _blocks, _replicates
 from tailcens.cli import main
 
 N = 200
-ROWS = _BLOCK_VALUES // N  # 81 rows per block at n = 200
+ROWS = {top: _blocks(N, 1, top).step for top in (None, 11)}  # rows a block at n = 200: 40 whole, 81 cut
+# one block, two, and two and a row, of either kind: 40, 80, 81, 162 and 163
+EDGES = sorted({5} | {reps for rows in ROWS.values() for reps in (rows, 2 * rows, 2 * rows + 1)})
 
 
 def tied_sample():
@@ -41,7 +43,7 @@ def tied_sample():
 
 
 class TestReplicateLoop:
-    @pytest.mark.parametrize("reps", [5, ROWS, 2 * ROWS, 2 * ROWS + 1])
+    @pytest.mark.parametrize("reps", EDGES)
     @pytest.mark.parametrize("top", [None, 11])
     def test_rows_joined_in_replicate_order(self, reps, top):
         model_x, model_y, seed = Pareto(1.0), Pareto(2.0), 4
