@@ -72,6 +72,18 @@ def _add_common(sub: argparse.ArgumentParser, draws: bool = False) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+def _import_numpy_random() -> None:
+    """Import numpy.random, holding off OpenSSL's ``_hashlib`` (3.4 MiB resident) if neither it nor ``secrets`` ran."""
+    held_off = not {"_hashlib", "secrets"} & sys.modules.keys()
+    if held_off:  # numpy's secrets, hmac and hashlib take CPython's builtin digests: no tailcens code hashes
+        sys.modules["_hashlib"] = None  # an import of a None entry raises ImportError
+    try:
+        import numpy.random  # noqa: F401
+    finally:  # a later import of the hashing modules loads OpenSSL
+        for name in ("_hashlib", "hashlib", "hmac") if held_off else ():
+            sys.modules.pop(name, None)
+
+
 def _sample(path: str):
     """The censored sample in the z,delta CSV at ``path``, sorted: every command's one read of its input."""
     return censored.sort_censored(*io.read_censored_csv(path))
@@ -124,6 +136,7 @@ def _cmd_select_k(args) -> None:
 
 
 def _cmd_gof(args) -> None:
+    _import_numpy_random()
     s = _sample(args.input)
     report = tailprocess.gof_pvalue(s, args.k, reps=args.reps, seed=args.seed, workers=args.workers)
     with _open_out(args.out) as fh:
@@ -135,6 +148,7 @@ def _cmd_gof(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    _import_numpy_random()
     cfg = harness.McConfig(
         model_x=args.model,
         model_y=args.censor,
@@ -184,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_est.add_argument(
         "--ci", type=_rule(lambda v: rules._check_level(rules._from_text(v))), default=None,
-        help="confidence level for the new estimator",
+        help=("level in (0, 1) of a normal interval for the new estimator only, centred with no bias "
+              "correction; other estimators' interval cells stay empty. It can cover far less than the level "
+              "where the sample's largest observation is censored (0.15 at 0.95 in README's coverage table)"),
     )
     p_est.add_argument("--theta", type=theta, default=0.3, help="stability exponent for --k auto (default 0.3)")
     _add_common(p_est)

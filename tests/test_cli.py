@@ -124,6 +124,15 @@ class TestEstimateCi:
             assert main(["estimate", "--input", str(path), "--k", "3", "--estimator", "hill,new", "--ci", "0.95"]) == 1
         assert "finite ratio" in capsys.readouterr().err
 
+    def test_help_says_what_the_interval_covers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps at the terminal width
+        for part in ("new estimator only", "no bias correction", "cells stay empty",
+                     "largest observation is censored", "far less than the level"):
+            assert part in text, part
+
 
 class TestSelectK:
     def test_row_and_criterion_file(self, pareto_csv, tmp_path, capsys):

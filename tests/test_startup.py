@@ -7,6 +7,7 @@ module type.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -166,3 +167,59 @@ def test_table_commands_load_no_numpy_random(argv, sample_csv, tmp_path):
         source.write_text("start,end,status\n1990-01-01,1990-03-05,D\n1990-02-01,1990-02-01,A\n", encoding="utf-8")
     out = _python("-c", RANDOM_PROBE, *argv, "--input", source, "--out", tmp_path / "out.csv")
     assert (out.returncode, out.stdout.split()[-2:]) == (0, ["0", "False"]), out.stderr
+
+
+# runs ``main`` on the arguments after the first, having imported hashlib first if the first is "hashlib-first";
+# prints its status, which of numpy.random, the hashing modules and logging it left loaded, and what a later
+# ``import hashlib`` gives
+HASH_PROBE = """
+import json, sys
+before = __import__("hashlib") if sys.argv[1] == "hashlib-first" else None
+from tailcens.cli import main
+status = main(sys.argv[2:])
+loaded = [name for name in ("numpy.random", "_hashlib", "hashlib", "hmac", "logging") if name in sys.modules]
+import hashlib
+print(json.dumps({"status": status, "loaded": loaded, "same": hashlib is before,
+                  "openssl": sys.modules.get("_hashlib") is not None, "sha256": hashlib.sha256(b"").hexdigest()}))
+"""
+HAS_OPENSSL = importlib.util.find_spec("_hashlib") is not None
+DRAWING = {"gof": ["gof", "--k", "20", "--reps", "100", "--seed", "7"],
+           "simulate": ["simulate", "--model", "burr:1,2,1", "--censor", "burr:1,2,2.030303", "--n", "200",
+                        "--reps", "20", "--seed", "7"]}
+
+
+def _hash_probe(first: str, command: str, sample_csv, out) -> tuple[dict, str]:
+    argv = [*DRAWING[command], "--out", out] + (["--input", sample_csv] if command == "gof" else [])
+    result = _python("-c", HASH_PROBE, first, *map(str, argv))
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1]), result.stderr
+
+
+@pytest.mark.parametrize("command", sorted(DRAWING))
+def test_drawing_commands_load_numpy_random_without_hashing(command, sample_csv, tmp_path):
+    # OpenSSL's digests cost 3.4 MiB resident, and no tailcens code hashes; logging would mean a missing builtin digest
+    probe, stderr = _hash_probe("fresh", command, sample_csv, tmp_path / "out.csv")
+    assert (probe["status"], probe["loaded"], stderr) == (0, ["numpy.random"], "")
+
+
+@pytest.mark.skipif(not HAS_OPENSSL, reason="this Python has no _hashlib")
+def test_hashlib_after_a_drawing_command_is_openssls(sample_csv, tmp_path):
+    probe, _ = _hash_probe("fresh", "gof", sample_csv, tmp_path / "out.csv")
+    assert probe["openssl"] and probe["sha256"].startswith("e3b0c442")
+
+
+@pytest.mark.parametrize("command", sorted(DRAWING))
+def test_hashlib_imported_first_is_kept_and_changes_no_output(command, sample_csv, tmp_path):
+    held_off, _ = _hash_probe("fresh", command, sample_csv, tmp_path / "held_off.csv")
+    kept, _ = _hash_probe("hashlib-first", command, sample_csv, tmp_path / "kept.csv")
+    assert kept["same"] and "hashlib" in kept["loaded"]
+    names = ["{}.csv"] + (["{}.csv.meta"] if command == "simulate" else [])
+    for name in names:
+        assert (tmp_path / name.format("held_off")).read_bytes() == (tmp_path / name.format("kept")).read_bytes()
+
+
+@pytest.mark.skipif(not HAS_OPENSSL, reason="this Python has no _hashlib")
+def test_numpy_random_alone_still_loads_openssl():
+    # were it not so, the CLI's guard around numpy.random would hold nothing off
+    out = _python("-c", "import sys, numpy.random; print('_hashlib' in sys.modules)")
+    assert (out.returncode, out.stdout) == (0, "True\n"), out.stderr
